@@ -9,9 +9,7 @@ keys so that identical inputs give byte-identical output.
 
 Exit status: 0 when every requested check passed, 1 when checks ran
 and failed (or a decision stayed unknown), 2 for usage or input
-errors.  The OMEGA_CUBE_THREADS environment variable caps worker
-parallelism; all scans here run sequentially, which respects any cap,
-and the active value is recorded in reports.
+errors.
 """
 
 from __future__ import annotations
@@ -61,14 +59,6 @@ USER_ERRORS = (
     ContractionError,
     ValueError,
 )
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("OMEGA_CUBE_THREADS", "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
 
 
 def _emit(report: dict, args) -> None:
@@ -375,7 +365,6 @@ def cmd_oracle(args) -> int:
 def cmd_check_all(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     report = run_all(seed)
-    report["threads"] = _thread_cap()
     _emit(report, args)
     print(f"check-all: seed {seed}")
     for entry in report["criteria"]:

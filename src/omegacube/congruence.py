@@ -237,10 +237,16 @@ class CongruenceSession:
 
     The session tracks every node the builder has ever interned, so
     relation sides and boundary terms created on the fly participate in
-    the closure automatically.  Saturation processes a work queue of
-    merges; each merge propagates along three channels: signature
-    collisions (operation compatibility), boundary pairs (face
-    closure), and the proof forest used to reconstruct merge traces.
+    the closure automatically; saturation takes new nodes in only when
+    the arena has grown.  Saturation processes a work queue of merges;
+    each merge propagates along three channels: signature collisions
+    (operation compatibility), boundary pairs (face closure), and the
+    proof forest used to reconstruct merge traces.  Union is by
+    use-list size: the class with more parent nodes absorbs the other,
+    so each merge re-signs the shorter use-list.  Proof-forest edges
+    join the merged pair itself, independent of the union direction.
+    A session may be seeded and saturated repeatedly; later seeds extend
+    the same closure.
     Contraction cells are treated as atoms: two kappa nodes are never
     merged by congruence on their arguments, only by seeded relations
     or faces, which matches their role as chosen fillers rather than
@@ -251,7 +257,6 @@ class CongruenceSession:
         self.universe = universe
         self.builder = universe.builder
         self._parent: list[int] = []
-        self._rank: list[int] = []
         self._members: list[list[int]] = []
         self._class_parents: list[list[int]] = []
         self._sig: dict[tuple, int] = {}
@@ -313,7 +318,6 @@ class CongruenceSession:
             node = arena[self._ingested]
             nid = node.nid
             self._parent.append(nid)
-            self._rank.append(0)
             self._members.append([nid])
             self._class_parents.append([])
             self._ingested += 1
@@ -349,11 +353,10 @@ class CongruenceSession:
         if ra == rb:
             return
         self._link_proof(a, b, reason)
-        if self._rank[ra] < self._rank[rb]:
+        # the class with the longer use-list absorbs the other, so only
+        # the shorter list is re-signed below
+        if len(self._class_parents[ra]) < len(self._class_parents[rb]):
             ra, rb = rb, ra
-        elif self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        # ra absorbs rb
         self._parent[rb] = ra
         small_members = self._members[rb]
         self._members[ra].extend(small_members)
@@ -403,14 +406,14 @@ class CongruenceSession:
         """Process pending merges until fixpoint or until the budget runs out."""
         if budget is None:
             budget = self.builder.config.saturation_budget
+        arena = self.builder.terms
         spent = 0
         while True:
-            self._ingest_new_nodes()
+            if self._ingested < len(arena):
+                self._ingest_new_nodes()
             if not self._pending:
-                if self._ingested == len(self.builder.terms):
-                    self.completed = True
-                    return self
-                continue
+                self.completed = True
+                return self
             if spent >= budget:
                 self.completed = False
                 return self

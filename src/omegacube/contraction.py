@@ -9,22 +9,26 @@ quotient.  Contracting a term against itself yields the reflector on
 the nose, and the transverse faces of a contraction cell are the
 contractions of the face pairs.
 
-The build walks dimensions upward.  At stage n it enumerates the
-contraction-mode universe up to dimension n, saturates a congruence
-session over it, and then admits one contraction cell per direction
-and ordered identified pair at dimension n; the new cells are atoms of
-stage n+1.  Identification is the session's verdict at the current
+The build walks dimensions upward with one congruence session shared
+by every stage.  At stage n it enumerates the contraction-mode universe
+up to dimension n, seeds the session with the relation instances no
+earlier stage seeded, saturates, and then admits one contraction cell
+per direction and ordered identified pair at dimension n; the new cells
+are atoms of stage n+1.  Each stage's universe contains the previous
+one, so the shared closure equals a fresh closure of the stage's full
+instance set.  Identification is the session's verdict at the current
 stage, so pairs the budgeted closure cannot identify are simply not
 contracted (and can be logged against separating models).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .congruence import CongruenceSession, instantiate_relations
 from .presentation import (
     CubicalSetPresentation,
+    LevelKey,
     SetMorphism,
     TruncationConfig,
     ValidationReport,
@@ -49,6 +53,12 @@ class ContractionError(Exception):
 
 @dataclass
 class ContractionStage:
+    """One stage of the build.
+
+    session is a stats() snapshot of the shared session taken when the
+    stage finished, so its counters cover this and every earlier stage.
+    """
+
     dim: int
     universe_size: int
     kappa_added: int
@@ -119,6 +129,13 @@ def build_free_contraction(
 ) -> ContractionData:
     """Build the free contraction over a presentation, stage by stage.
 
+    One CongruenceSession serves every stage: each stage points it at
+    the stage's universe, grounds the relation schemes over the levels
+    whose terms changed since an earlier stage, and seeds only the
+    instances, keyed by (family, left nid, right nid), that no earlier
+    stage seeded.  budget bounds the merges of each stage's saturation
+    pass.
+
     size_cap bounds the node count of enumerated terms; wide
     presentations need it because filler admission grows with the
     square of class sizes and composites over fillers compound that.
@@ -134,13 +151,32 @@ def build_free_contraction(
     stages: list[ContractionStage] = []
     universe: TermUniverse | None = None
     session: CongruenceSession | None = None
+    seeded: set[tuple[str, int, int]] = set()
+    grounded: dict[LevelKey, list[Term]] = {}
 
     for n in range(cfg.max_dim + 1):
         universe = enumerate_free_magma(
             builder, depth, size_cap=size_cap, max_stage_dim=n, extra_atoms=list(atoms)
         )
-        relations = instantiate_relations(universe, max_side_size=max_side_size)
-        session = CongruenceSession(universe).seed(relations).saturate(budget)
+        if session is None:
+            session = CongruenceSession(universe)
+        else:
+            session.universe = universe
+        # instances of a level depend on that level's terms alone, so only
+        # levels whose term list changed since an earlier stage are grounded;
+        # a changed level is grounded whole, so its earlier instances are
+        # dropped by key
+        changed = {lv: ts for lv, ts in universe.levels.items() if grounded.get(lv) != ts}
+        grounded.update(changed)
+        fresh = []
+        for rel in instantiate_relations(
+            replace(universe, levels=changed), max_side_size=max_side_size
+        ):
+            key = (rel.family, rel.left.nid, rel.right.nid)
+            if key not in seeded:
+                seeded.add(key)
+                fresh.append(rel)
+        session.seed(fresh).saturate(budget)
         added = 0
         excluded: list[tuple[str, str]] = []
         if n < cfg.max_dim:

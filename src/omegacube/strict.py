@@ -602,10 +602,12 @@ class Evaluator:
     def __init__(self, assignment: GeneratorAssignment):
         self.assignment = assignment
         self.table = assignment.target
-        self._cache: dict[int, CellRef] = {}
+        # keyed by the term itself: terms hash by identity, so a term of
+        # another builder with a colliding nid never hits this cache
+        self._cache: dict[Term, CellRef] = {}
 
     def eval(self, t: Term) -> CellRef:
-        found = self._cache.get(t.nid)
+        found = self._cache.get(t)
         if found is not None:
             return found
         if t.kind == GEN:
@@ -622,7 +624,7 @@ class Evaluator:
             )
         else:  # pragma: no cover
             raise EvalError(f"unknown node kind {t.kind!r}")
-        self._cache[t.nid] = res
+        self._cache[t] = res
         return res
 
 

@@ -85,8 +85,6 @@ class Term:
     dirs: Dirs
     size: int
     weight: int
-    conc_level: int
-    dual_level: int
     text: str
 
     @property
@@ -141,9 +139,7 @@ class TermBuilder:
         return len(self.terms)
 
     def _new(self, key: tuple, **fields) -> Term:
-        found = self._intern.get(key)
-        if found is not None:
-            return found
+        # callers look the key up first, so a hit skips validation and text
         node = Term(nid=len(self.terms), **fields)
         self.terms.append(node)
         self._intern[key] = node
@@ -152,10 +148,14 @@ class TermBuilder:
     # -- constructors --------------------------------------------------
 
     def gen(self, cell: CellRef) -> Term:
+        key = ("g", cell.dim, cell.dirs, cell.name)
+        found = self._intern.get(key)
+        if found is not None:
+            return found
         if not self.presentation.has_cell(cell):
             raise TermError(f"unknown generator {cell}")
         return self._new(
-            ("g", cell.dim, cell.dirs, cell.name),
+            key,
             kind=GEN,
             d=0,
             cell=cell,
@@ -164,12 +164,14 @@ class TermBuilder:
             dirs=cell.dirs,
             size=1,
             weight=0,
-            conc_level=0,
-            dual_level=0,
             text=f"gen({cell.name})",
         )
 
     def refl(self, d: int, x: Term) -> Term:
+        key = ("r", d, x.nid)
+        found = self._intern.get(key)
+        if found is not None:
+            return found
         if d in x.dirs:
             raise TermError(f"id[{d}]: {x.text} already extends along direction {d}")
         if d < 1 or d > self.config.dir_universe:
@@ -177,7 +179,7 @@ class TermBuilder:
         if x.dim + 1 > self.config.max_dim:
             raise TermError(f"id[{d}]({x.text}) would exceed max_dim {self.config.max_dim}")
         return self._new(
-            ("r", d, x.nid),
+            key,
             kind=REFL,
             d=d,
             cell=None,
@@ -186,16 +188,18 @@ class TermBuilder:
             dirs=dirs_with(x.dirs, d),
             size=x.size + 1,
             weight=x.weight + 1,
-            conc_level=0,
-            dual_level=0,
             text=f"id[{d}]({x.text})",
         )
 
     def dual(self, d: int, x: Term) -> Term:
+        key = ("d", d, x.nid)
+        found = self._intern.get(key)
+        if found is not None:
+            return found
         if d not in x.dirs:
             raise TermError(f"dual[{d}]: {x.text} does not extend along direction {d}")
         return self._new(
-            ("d", d, x.nid),
+            key,
             kind=DUAL,
             d=d,
             cell=None,
@@ -204,12 +208,14 @@ class TermBuilder:
             dirs=x.dirs,
             size=x.size + 1,
             weight=x.weight + 1,
-            conc_level=x.conc_level,
-            dual_level=x.dual_level + 1,
             text=f"dual[{d}]({x.text})",
         )
 
     def comp(self, d: int, x: Term, y: Term) -> Term:
+        key = ("c", d, x.nid, y.nid)
+        found = self._intern.get(key)
+        if found is not None:
+            return found
         if x.dirs != y.dirs:
             raise TermError(
                 f"comp[{d}]: operands live at different levels "
@@ -222,7 +228,7 @@ class TermBuilder:
         if sx is not ty:
             raise CompositionMismatch(d, x, y, sx, ty)
         return self._new(
-            ("c", d, x.nid, y.nid),
+            key,
             kind=COMP,
             d=d,
             cell=None,
@@ -231,12 +237,14 @@ class TermBuilder:
             dirs=x.dirs,
             size=x.size + y.size + 1,
             weight=x.weight + y.weight + 1,
-            conc_level=x.conc_level + y.conc_level + 1,
-            dual_level=0,
             text=f"comp[{d}]({x.text},{y.text})",
         )
 
     def kappa(self, d: int, x: Term, y: Term) -> Term:
+        key = ("k", d, x.nid, y.nid)
+        found = self._intern.get(key)
+        if found is not None:
+            return found
         if self.mode != "contraction":
             raise KappaError("kappa cells require a contraction-mode builder")
         if x.dirs != y.dirs:
@@ -258,7 +266,7 @@ class TermBuilder:
                 f"kappa[{d}]({x.text},{y.text}): pair carries no projection certificate"
             )
         return self._new(
-            ("k", d, x.nid, y.nid),
+            key,
             kind=KAPPA,
             d=d,
             cell=None,
@@ -267,8 +275,6 @@ class TermBuilder:
             dirs=dirs_with(x.dirs, d),
             size=x.size + y.size + 1,
             weight=x.weight + y.weight + 1,
-            conc_level=0,
-            dual_level=0,
             text=f"kappa[{d}]({x.text},{y.text})",
         )
 
@@ -294,14 +300,14 @@ class TermBuilder:
 
     def boundary(self, t: Term, d: int, side: str) -> Term:
         """The source ("s") or target ("t") face of t in direction d."""
-        if side not in ("s", "t"):
-            raise TermError(f"boundary side must be 's' or 't', got {side!r}")
-        if d not in t.dirs:
-            raise TermError(f"{t.text} has no direction {d}")
         key = (t.nid, d, side)
         cached = self._bcache.get(key)
         if cached is not None:
             return cached
+        if side not in ("s", "t"):
+            raise TermError(f"boundary side must be 's' or 't', got {side!r}")
+        if d not in t.dirs:
+            raise TermError(f"{t.text} has no direction {d}")
         if t.kind == GEN:
             res = self.gen(self.presentation.face(t.cell, d, side))
         elif t.kind == REFL:
@@ -381,10 +387,11 @@ class TermUniverse:
             yield from self.levels[level]
 
     def __contains__(self, t: Term) -> bool:
-        return t.nid in self._members
+        # terms hash by identity, so a term of another builder is never a member
+        return t in self._members
 
     def __post_init__(self) -> None:
-        self._members = {t.nid for terms in self.levels.values() for t in terms}
+        self._members = {t for terms in self.levels.values() for t in terms}
 
     def counts(self) -> dict[str, int]:
         return {format_level(lv): len(ts) for lv, ts in sorted(self.levels.items())}

@@ -74,6 +74,15 @@ def test_class_counts_at_depth_three(saturated):
     for level, terms in sorted(saturated.universe.levels.items()):
         got[level] = len({saturated.find(t.nid) for t in terms})
     assert got == {(0, ()): 3, (1, (1,)): 19, (1, (2,)): 3, (2, (1, 2)): 13}
+    assert saturated.universe.size == 142
+    # the arena is still the one the fixture saturated: no late nodes yet
+    assert saturated.stats() == {
+        "nodes": 93825,
+        "seeded": 51196,
+        "merges": 93570,
+        "processed": 93570,
+        "completed": True,
+    }
 
 
 def test_representative_is_the_smallest_member(saturated):

@@ -3,12 +3,14 @@
 import pytest
 
 from omegacube import (
+    CongruenceSession,
     ContractionError,
     CubicalSetPresentation,
     QuotientView,
     SetMorphism,
     build_free_contraction,
     free_on_morphism,
+    instantiate_relations,
     two_generator_quiver,
     unit_eta,
     universe_as_presentation,
@@ -174,3 +176,68 @@ def test_quotient_view_operations(contraction):
     assert qv.dual(1, qv.dual(1, f)) is f
     with pytest.raises(ContractionError):
         qv.comp(1, qv.cls(f), qv.cls(g))
+
+
+def partition(session, universe):
+    classes: dict[int, list[int]] = {}
+    for t in universe.all_terms():
+        classes.setdefault(session.find(t.nid), []).append(t.nid)
+    return sorted(sorted(c) for c in classes.values())
+
+
+def build_with_stage_snapshots(monkeypatch, p, **kwargs):
+    """Build, recording each stage's universe and its partition under the
+    shared session right after the stage saturates."""
+    snapshots = []
+    saturate = CongruenceSession.saturate
+
+    def spy(self, budget=None):
+        out = saturate(self, budget)
+        snapshots.append((self.universe, partition(self, self.universe)))
+        return out
+
+    monkeypatch.setattr(CongruenceSession, "saturate", spy)
+    cd = build_free_contraction(p, **kwargs)
+    monkeypatch.undo()
+    return cd, snapshots
+
+
+@pytest.mark.parametrize(
+    "kwargs, sessions",
+    [
+        (
+            {"depth": 2, "size_cap": 3},
+            [(15, 6, 6), (918, 488, 868), (16690, 11303, 16637)],
+        ),
+        (
+            {"depth": 2},
+            [(15, 6, 6), (3214, 1673, 3099), (64231, 44474, 64118)],
+        ),
+    ],
+    ids=["size-cap-3", "depth-2"],
+)
+def test_shared_session_matches_fresh_closure_per_stage(monkeypatch, quiver, kwargs, sessions):
+    cd, snapshots = build_with_stage_snapshots(monkeypatch, quiver, **kwargs)
+    assert len(snapshots) == len(cd.stages)
+    expected_kappa = set()
+    for n, (universe, shared) in enumerate(snapshots):
+        fresh = CongruenceSession(universe).seed(instantiate_relations(universe)).saturate()
+        assert fresh.completed
+        assert partition(fresh, universe) == shared
+        if n == cd.config.max_dim:
+            continue
+        for (dim, dirs), terms in universe.levels.items():
+            if dim != n:
+                continue
+            upper = [d for d in range(1, cd.config.dir_universe + 1) if d not in dirs]
+            for x in terms:
+                for y in terms:
+                    if x is not y and fresh.same(x, y):
+                        expected_kappa.update((d, x.nid, y.nid) for d in upper)
+    assert set(cd.kappa) == expected_kappa
+    # stage stats are cumulative snapshots of the shared session
+    assert [s.session for s in cd.stages] == [
+        {"nodes": nodes, "seeded": seeded, "merges": merges, "processed": merges,
+         "completed": True}
+        for nodes, seeded, merges in sessions
+    ]

@@ -136,6 +136,17 @@ def test_evaluation_matches_hand_computed_values():
     assert eval_term(b.comp(1, g, f), assignment).name == "ia"
 
 
+def test_evaluator_keeps_terms_of_other_builders_apart():
+    q, assignment = arrow_assignment()
+    first, second = TermBuilder(q), TermBuilder(q)
+    f = first.gen(q.cell(1, (1,), "f"))
+    g = second.gen(q.cell(1, (1,), "g"))
+    assert f.nid == g.nid
+    ev = Evaluator(assignment)
+    assert ev.eval(f).name == "u"
+    assert ev.eval(g).name == "v"
+
+
 def test_contraction_cells_have_no_tabular_value(quiver):
     b = TermBuilder(quiver, mode="contraction")
     f = b.gen(quiver.cell(1, (1,), "f"))

@@ -145,6 +145,15 @@ def test_enumeration_is_monotone_and_boundary_closed(quiver):
                 assert b.boundary(t, d, side) in u2
 
 
+def test_universe_membership_rejects_terms_of_other_builders(quiver):
+    u = enumerate_free_magma(quiver, 1)
+    strangers = list(gens(TermBuilder(quiver)).values())
+    member_nids = {t.nid for t in u.all_terms()}
+    assert all(t.nid in member_nids for t in strangers)
+    assert not any(t in u for t in strangers)
+    assert all(t in u for t in u.all_terms())
+
+
 def test_size_cap_and_stage_dim_restrict_the_universe(quiver):
     capped = enumerate_free_magma(quiver, 3, size_cap=3)
     assert all(t.size <= 3 for t in capped.all_terms())
