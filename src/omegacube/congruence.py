@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .presentation import ValidationReport, format_level
+from .strict import EvalError, Evaluator
 from .term import COMP, DUAL, GEN, KAPPA, REFL, Term, TermError, TermUniverse
 
 FAMILIES = (
@@ -496,7 +497,10 @@ def decide_equal(
     Equal when saturation merged the two terms; the witness is a merge
     trace.  NotEqual only when some separating assignment evaluates the
     terms to different cells of its target model.  Unknown otherwise,
-    with the session state in the witness.
+    with the session state and a cause in the witness: "budget" when
+    saturation stopped short of its fixpoint, "no-separator" when no
+    separator was given, "no-separator-applied" when every separator
+    failed to evaluate a side, and "not-separated" otherwise.
     """
     if t1.level != t2.level:
         raise TermError(
@@ -513,8 +517,7 @@ def decide_equal(
         session.saturate()
     if session.same(t1, t2):
         return Decision("equal", {"trace": session.explain(t1, t2)})
-    from .strict import EvalError, Evaluator
-
+    applied = 0
     for i, assignment in enumerate(separators):
         ev = Evaluator(assignment)
         try:
@@ -532,7 +535,16 @@ def decide_equal(
                     "right_value": str(v2),
                 },
             )
-    return Decision("unknown", {"session": session.stats()})
+        applied += 1
+    if not session.completed:
+        cause = "budget"
+    elif not separators:
+        cause = "no-separator"
+    elif not applied:
+        cause = "no-separator-applied"
+    else:
+        cause = "not-separated"
+    return Decision("unknown", {"session": session.stats(), "cause": cause})
 
 
 def audit_congruence(session: CongruenceSession) -> ValidationReport:

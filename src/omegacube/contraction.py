@@ -402,10 +402,12 @@ class ContractionMorphism:
     source: ContractionData
     target: ContractionData
     f: SetMorphism
-    term_map: dict[int, Term]
+    # keyed by the source term itself: terms hash by identity, so a term
+    # of another builder is outside the mapped universe
+    term_map: dict[Term, Term]
 
     def phi(self, t: Term) -> Term:
-        found = self.term_map.get(t.nid)
+        found = self.term_map.get(t)
         if found is None:
             raise ContractionError(f"{t.text} is outside the mapped universe")
         return found
@@ -422,10 +424,10 @@ def free_on_morphism(
     filler is available.
     """
     tb = target.builder
-    term_map: dict[int, Term] = {}
+    term_map: dict[Term, Term] = {}
 
     def phi(t: Term) -> Term:
-        found = term_map.get(t.nid)
+        found = term_map.get(t)
         if found is not None:
             return found
         if t.kind == GEN:
@@ -447,7 +449,7 @@ def free_on_morphism(
             out = target.kappa_of(t.d, ix, iy)
         else:  # pragma: no cover
             raise ContractionError(f"unknown node kind {t.kind!r}")
-        term_map[t.nid] = out
+        term_map[t] = out
         return out
 
     for t in source.universe.all_terms():
@@ -499,7 +501,7 @@ def validate_contraction_morphism(m: ContractionMorphism) -> ValidationReport:
                         "source but their images are not",
                     )
     for (d, xn, yn), node in sorted(m.source.kappa.items()):
-        if node.nid not in m.term_map:
+        if node not in m.term_map:
             continue
         report.checked += 1
         ix = m.phi(sb.terms[xn])

@@ -374,11 +374,13 @@ def build_product(
                 )
                 for parts in tuples_at[low_level]
             }
+            # composable partners agree in every slot but d's
+            partners: dict = {}
+            for ys in tuples:
+                partners.setdefault(ys[: d - 1] + ys[d:], []).append(ys)
             table: dict = {}
             for xs in tuples:
-                for ys in tuples:
-                    if any(xs[j] != ys[j] for j in range(k) if j != d - 1):
-                        continue
+                for ys in partners[xs[: d - 1] + xs[d:]]:
                     z = c.compose.get((xs[d - 1], ys[d - 1]))
                     if z is None:
                         continue

@@ -240,6 +240,8 @@ class CubicalSetPresentation:
         self._index: dict[tuple[LevelKey, str], CellRef] = {
             (lv, c.name): c for lv, refs in self.cells.items() for c in refs
         }
+        # (dim, dirs, d) -> the level one step down; filled by face()
+        self._lower: dict[tuple[int, Dirs, int], LevelKey] = {}
 
     # -- queries -------------------------------------------------------
 
@@ -260,16 +262,34 @@ class CubicalSetPresentation:
         return list(self.cells.get((dim, dirs), []))
 
     def cell(self, dim: int, dirs, name: str) -> CellRef:
-        ref = self._index.get(((dim, make_dirs(dirs)), name))
+        """The cell named ``name`` at level ``(dim, dirs)``.
+
+        A tuple is first looked up as it stands: index keys are
+        canonical, so a tuple that hits already equals its canonical
+        form.  Only on a miss are the directions canonicalized, which
+        accepts lists and unsorted tuples and raises the same
+        PresentationError for duplicate directions or unknown names.
+        """
+        if type(dirs) is tuple:
+            ref = self._index.get(((dim, dirs), name))
+            if ref is not None:
+                return ref
+        dirs = make_dirs(dirs)
+        ref = self._index.get(((dim, dirs), name))
         if ref is None:
-            raise PresentationError(f"no cell {name!r} at level {format_level((dim, make_dirs(dirs)))}")
+            raise PresentationError(f"no cell {name!r} at level {format_level((dim, dirs))}")
         return ref
 
     def has_cell(self, ref: CellRef) -> bool:
         return (ref.level, ref.name) in self._index
 
     def face(self, cell: CellRef, d: int, side: str) -> CellRef:
-        """The source or target face of a cell in direction d."""
+        """The source or target face of a cell in direction d.
+
+        The face table is read on every call, so an edit to it after
+        construction shows at once; only the lower level, a pure
+        function of ``(dim, dirs, d)``, is memoized per instance.
+        """
         if side not in SIDES:
             raise PresentationError(f"face side must be 's' or 't', got {side!r}")
         if d not in cell.dirs:
@@ -278,7 +298,10 @@ class CubicalSetPresentation:
         if table is None or cell.name not in table:
             raise PresentationError(f"missing {side}-face of {cell} in direction {d}")
         image = table[cell.name]
-        low = (cell.dim - 1, dirs_without(cell.dirs, d))
+        key = (cell.dim, cell.dirs, d)
+        low = self._lower.get(key)
+        if low is None:
+            low = self._lower[key] = (cell.dim - 1, dirs_without(cell.dirs, d))
         ref = self._index.get((low, image))
         if ref is None:
             raise PresentationError(

@@ -131,12 +131,21 @@ class TermBuilder:
         self.config = presentation.config
         self.mode = mode
         self.terms: list[Term] = []
+        # keys hold child terms, which hash by identity, so a term of
+        # another builder never hits; misses check ownership (_own)
         self._intern: dict[tuple, Term] = {}
-        self._bcache: dict[tuple[int, int, str], Term] = {}
-        self._kappa_ok: set[tuple[int, int]] = set()
+        self._bcache: dict[tuple[Term, int, str], Term] = {}
+        self._kappa_ok: set[tuple[Term, Term]] = set()
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    def _own(self, *args: Term) -> None:
+        """Reject arguments interned by another builder."""
+        terms = self.terms
+        for t in args:
+            if t.nid >= len(terms) or terms[t.nid] is not t:
+                raise TermError(f"{t.text} was built by another builder")
 
     def _new(self, key: tuple, **fields) -> Term:
         # callers look the key up first, so a hit skips validation and text
@@ -168,10 +177,11 @@ class TermBuilder:
         )
 
     def refl(self, d: int, x: Term) -> Term:
-        key = ("r", d, x.nid)
+        key = ("r", d, x)
         found = self._intern.get(key)
         if found is not None:
             return found
+        self._own(x)
         if d in x.dirs:
             raise TermError(f"id[{d}]: {x.text} already extends along direction {d}")
         if d < 1 or d > self.config.dir_universe:
@@ -192,10 +202,11 @@ class TermBuilder:
         )
 
     def dual(self, d: int, x: Term) -> Term:
-        key = ("d", d, x.nid)
+        key = ("d", d, x)
         found = self._intern.get(key)
         if found is not None:
             return found
+        self._own(x)
         if d not in x.dirs:
             raise TermError(f"dual[{d}]: {x.text} does not extend along direction {d}")
         return self._new(
@@ -212,10 +223,11 @@ class TermBuilder:
         )
 
     def comp(self, d: int, x: Term, y: Term) -> Term:
-        key = ("c", d, x.nid, y.nid)
+        key = ("c", d, x, y)
         found = self._intern.get(key)
         if found is not None:
             return found
+        self._own(x, y)
         if x.dirs != y.dirs:
             raise TermError(
                 f"comp[{d}]: operands live at different levels "
@@ -241,10 +253,11 @@ class TermBuilder:
         )
 
     def kappa(self, d: int, x: Term, y: Term) -> Term:
-        key = ("k", d, x.nid, y.nid)
+        key = ("k", d, x, y)
         found = self._intern.get(key)
         if found is not None:
             return found
+        self._own(x, y)
         if self.mode != "contraction":
             raise KappaError("kappa cells require a contraction-mode builder")
         if x.dirs != y.dirs:
@@ -261,7 +274,7 @@ class TermBuilder:
         if x is y:
             # contracting a cell against itself is the degenerate identity
             return self.refl(d, x)
-        if (x.nid, y.nid) not in self._kappa_ok:
+        if (x, y) not in self._kappa_ok:
             raise KappaError(
                 f"kappa[{d}]({x.text},{y.text}): pair carries no projection certificate"
             )
@@ -286,12 +299,13 @@ class TermBuilder:
         """
         if x is y:
             return
+        if (x, y) in self._kappa_ok:
+            return
+        self._own(x, y)
         if x.dirs != y.dirs:
             raise TermError("kappa certificate requires operands at the same level")
-        if (x.nid, y.nid) in self._kappa_ok:
-            return
-        self._kappa_ok.add((x.nid, y.nid))
-        self._kappa_ok.add((y.nid, x.nid))
+        self._kappa_ok.add((x, y))
+        self._kappa_ok.add((y, x))
         for e in x.dirs:
             for side in ("s", "t"):
                 self.admit_kappa_pair(self.boundary(x, e, side), self.boundary(y, e, side))
@@ -300,10 +314,11 @@ class TermBuilder:
 
     def boundary(self, t: Term, d: int, side: str) -> Term:
         """The source ("s") or target ("t") face of t in direction d."""
-        key = (t.nid, d, side)
+        key = (t, d, side)
         cached = self._bcache.get(key)
         if cached is not None:
             return cached
+        self._own(t)
         if side not in ("s", "t"):
             raise TermError(f"boundary side must be 's' or 't', got {side!r}")
         if d not in t.dirs:

@@ -5,12 +5,15 @@ import pytest
 from omegacube import (
     CongruenceSession,
     FAMILIES,
+    GeneratorAssignment,
     TermError,
     TermBuilder,
     decide_equal,
     enumerate_free_magma,
     instantiate_relations,
     audit_congruence,
+    as_strict_table,
+    cyclic_group_category,
     word_separator,
 )
 
@@ -131,6 +134,25 @@ def test_decide_equal_three_verdicts(saturated, quiver):
     unk = decide_equal(saturated, b.refl(2, f), b.refl(2, g), [sep])
     assert unk.verdict == "unknown"
     assert "session" in unk.witness
+    assert unk.witness["cause"] == "no-separator-applied"
+
+
+def test_unknown_verdicts_without_a_separating_model_name_their_cause(saturated, quiver):
+    u = saturated.universe
+    f = by_text(u, "gen(f)")
+    g = by_text(u, "gen(g)")
+    alone = decide_equal(saturated, f, g)
+    assert alone.verdict == "unknown"
+    assert alone.witness["cause"] == "no-separator"
+    # one object and one arrow: f and g land on the same cell
+    collapse = GeneratorAssignment(
+        quiver,
+        as_strict_table(cyclic_group_category(1)),
+        {(0, ()): {"a": "e", "b": "e", "c": "e"}, (1, (1,)): {"f": "g0", "g": "g0"}},
+    )
+    blind = decide_equal(saturated, f, g, [collapse])
+    assert blind.verdict == "unknown"
+    assert blind.witness["cause"] == "not-separated"
 
 
 def test_decide_equal_accepts_late_nodes(saturated):
@@ -165,6 +187,9 @@ def test_budget_exhaustion_reports_honestly(quiver):
     stats = session.stats()
     assert stats["processed"] <= 5 < stats["seeded"]
     f = by_text(u, "gen(f)")
+    cut_short = decide_equal(session, f, by_text(u, "gen(g)"))
+    assert cut_short.verdict == "unknown"
+    assert cut_short.witness["cause"] == "budget"
     b = u.builder
     left_alone = decide_equal(session, b.comp(1, f, b.refl(1, by_text(u, "gen(a)"))), f)
     assert left_alone.verdict in {"equal", "unknown"}

@@ -8,6 +8,7 @@ from omegacube import (
     CubicalSetPresentation,
     QuotientView,
     SetMorphism,
+    TermBuilder,
     build_free_contraction,
     free_on_morphism,
     instantiate_relations,
@@ -134,6 +135,15 @@ def test_identity_morphism_extends_to_the_identity(contraction):
     for text in ("gen(f)", "comp[1](gen(g),gen(f))", "id[1](gen(b))"):
         t = by_text(contraction, text)
         assert ext.phi(t) is t
+
+
+def test_extended_morphism_rejects_terms_of_other_builders(contraction):
+    p = contraction.presentation
+    ext = free_on_morphism(SetMorphism.identity(p), contraction, contraction)
+    stranger = TermBuilder(p).gen(p.cell(1, (1,), "g"))
+    assert contraction.builder.terms[stranger.nid] in ext.term_map
+    with pytest.raises(ContractionError, match="outside the mapped universe"):
+        ext.phi(stranger)
 
 
 def test_morphisms_extend_with_naturality(quiver, seed_config, contraction):

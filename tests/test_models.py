@@ -98,6 +98,46 @@ def test_product_operations_act_per_slot(iso_square):
     assert comp2.name == "u|u"
 
 
+def all_pairs_comp_tables(table, family):
+    """The comp tables by the all-pairs loop that build_product once ran."""
+    k = len(family)
+    out = {}
+    for (dim, dirs), refs in table.underlying.cells.items():
+        tuples = [tuple(c.name.split("|")) for c in refs]
+        for d in dirs:
+            c = family[d - 1]
+            entries = {}
+            for xs in tuples:
+                for ys in tuples:
+                    if any(xs[j] != ys[j] for j in range(k) if j != d - 1):
+                        continue
+                    z = c.compose.get((xs[d - 1], ys[d - 1]))
+                    if z is None:
+                        continue
+                    zs = tuple(z if j == d else xs[j - 1] for j in range(1, k + 1))
+                    entries[("|".join(xs), "|".join(ys))] = "|".join(zs)
+            out[(dim, dirs, d)] = entries
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,dims",
+    [
+        ([walking_isomorphism(), pair_groupoid(3)], 2),
+        ([walking_isomorphism(), pair_groupoid(3), cyclic_group_category(2)], 3),
+        ([pair_groupoid(4), pair_groupoid(3), cyclic_group_category(3)], 3),
+    ],
+)
+def test_product_comp_tables_match_the_all_pairs_reference(family, dims):
+    cfg = TruncationConfig(max_dim=dims, dir_universe=dims, term_depth=1)
+    table = build_product(family, cfg)
+    want = all_pairs_comp_tables(table, family)
+    # equal including the insertion order of every table
+    assert [(key, list(t.items())) for key, t in table.comp.items()] == [
+        (key, list(t.items())) for key, t in want.items()
+    ]
+
+
 def test_strict_view_of_a_category_keeps_its_shape():
     c = as_strict_table(cyclic_group_category(2))
     p = c.underlying

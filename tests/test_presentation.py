@@ -1,5 +1,7 @@
 """Presentations: level bookkeeping, face access, validators, morphisms."""
 
+import re
+
 import pytest
 
 from omegacube import (
@@ -76,6 +78,30 @@ def test_face_access_and_errors(quiver):
     a = quiver.cell(0, (), "a")
     with pytest.raises(PresentationError):
         quiver.face(a, 1, "s")
+
+
+def test_cell_lookup_canonicalizes_directions_on_a_miss(iso_square):
+    p = iso_square.underlying
+    name = p.cells[(2, (1, 2))][0].name
+    ref = p.cell(2, (1, 2), name)
+    assert ref.level == (2, (1, 2))
+    assert p.cell(2, (2, 1), name) is ref
+    assert p.cell(2, [2, 1], name) is ref
+    with pytest.raises(PresentationError, match=re.escape("duplicate directions in (1, 1)")):
+        p.cell(2, (1, 1), name)
+    with pytest.raises(PresentationError, match=re.escape("no cell 'nope' at level 2/1,2")):
+        p.cell(2, (2, 1), "nope")
+
+
+def test_face_reads_an_edited_table(seed_config):
+    p = two_generator_quiver(seed_config)
+    f = p.cell(1, (1,), "f")
+    assert p.face(f, 1, "t").name == "b"
+    p.faces[(1, (1,), 1, "t")]["f"] = "c"
+    assert p.face(f, 1, "t").name == "c"
+    p.faces[(1, (1,), 1, "t")]["f"] = "zz"
+    with pytest.raises(PresentationError, match="names 'zz', absent at level 0/"):
+        p.face(f, 1, "t")
 
 
 def test_enumerate_cells_orders_and_bounds(quiver):

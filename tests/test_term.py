@@ -154,6 +154,31 @@ def test_universe_membership_rejects_terms_of_other_builders(quiver):
     assert all(t in u for t in u.all_terms())
 
 
+def test_constructors_reject_terms_of_other_builders(quiver):
+    b1 = TermBuilder(quiver, mode="contraction")
+    f1 = b1.gen(quiver.cell(1, (1,), "f"))
+    df1 = b1.dual(1, f1)
+    b2 = TermBuilder(quiver)
+    g2 = b2.gen(quiver.cell(1, (1,), "g"))
+    # the two arenas number their nodes independently, so nids collide
+    assert g2.nid == f1.nid
+    before = len(b1)
+    for build in (
+        lambda: b1.refl(2, g2),
+        lambda: b1.dual(1, g2),
+        lambda: b1.comp(1, g2, f1),
+        lambda: b1.comp(1, f1, g2),
+        lambda: b1.kappa(2, f1, g2),
+        lambda: b1.boundary(g2, 1, "s"),
+        lambda: b1.admit_kappa_pair(f1, g2),
+    ):
+        with pytest.raises(TermError, match="another builder"):
+            build()
+    assert len(b1) == before
+    assert b1.dual(1, f1) is df1
+    assert df1.text == "dual[1](gen(f))"
+
+
 def test_size_cap_and_stage_dim_restrict_the_universe(quiver):
     capped = enumerate_free_magma(quiver, 3, size_cap=3)
     assert all(t.size <= 3 for t in capped.all_terms())
