@@ -1,14 +1,9 @@
 """Word problem for free terms, decided by congruence closure.
 
 The quotient that turns the free term algebra into a strict involutive
-structure is generated by finitely many relation schemes: associativity,
-two-sided units, functoriality of reflectors, the exchange law between
-distinct directions, involutivity of duals, commutation of duals in
-distinct directions, the anti-homomorphism and transverse homomorphism
-laws for duals over compositions, and the self-duality of reflectors
-(in the contracting and transverse forms).  Contraction universes add
-one more scheme identifying each contraction cell with the reflector of
-its source.
+structure is generated by the relation schemes of the relations module.
+Contraction universes add one more scheme identifying each contraction
+cell with the reflector of its source.
 
 instantiate_relations grounds every scheme over a finite term universe.
 CongruenceSession saturates the resulting pair set with a union-find
@@ -26,47 +21,19 @@ anything else is reported as Unknown rather than guessed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .presentation import ValidationReport, format_level
-from .strict import EvalError, Evaluator
-from .term import COMP, DUAL, GEN, KAPPA, REFL, Term, TermError, TermUniverse
-
-FAMILIES = (
-    "assoc",
-    "unit-left",
-    "unit-right",
-    "id-functoriality",
-    "exchange",
-    "involutive",
-    "star-commute",
-    "star-antihomo",
-    "star-homo-transverse",
-    "id-hermitian",
-    "id-hermitian-transverse",
-    "contraction-projection",
+from .relations import (
+    FAMILIES,
+    NODE_COUNTS,
+    SCHEMES,
+    RelationInstance,
+    ground_level,
+    reflector_dirs,
 )
-
-
-@dataclass(frozen=True)
-class RelationInstance:
-    family: str
-    left: Term
-    right: Term
-
-    def __repr__(self) -> str:
-        return f"<{self.family}: {self.left.text} ~ {self.right.text}>"
-
-
-def _composable_pairs(universe: TermUniverse, terms: list[Term], d: int):
-    """Ordered pairs (x, y) at one level with source(x) matching target(y)."""
-    b = universe.builder
-    by_target: dict[int, list[Term]] = {}
-    for y in terms:
-        by_target.setdefault(b.boundary(y, d, "t").nid, []).append(y)
-    for x in terms:
-        for y in by_target.get(b.boundary(x, d, "s").nid, []):
-            yield x, y
+from .strict import EvalError, Evaluator
+from .term import GEN, KAPPA, Term, TermError, TermUniverse
 
 
 def instantiate_relations(
@@ -80,9 +47,9 @@ def instantiate_relations(
 
     families restricts to a subset of scheme tags (useful for planting
     omissions in tests); max_side_size skips instances either side of
-    which would exceed the given node count.  Contraction projections
-    are included exactly when the universe was built in contraction
-    mode, unless overridden.
+    which would exceed the given node count, without building them.
+    Contraction projections are included exactly when the universe was
+    built in contraction mode, unless overridden.
     """
     if families is not None:
         unknown = set(families) - set(FAMILIES)
@@ -91,133 +58,27 @@ def instantiate_relations(
     if include_contraction is None:
         include_contraction = universe.builder.mode == "contraction"
     b = universe.builder
-    cfg = b.config
+    wanted = set(FAMILIES if families is None else families)
     out: list[RelationInstance] = []
-
-    def want(family: str) -> bool:
-        return families is None or family in families
-
-    def fits(*sizes: int) -> bool:
-        return max_side_size is None or max(sizes) <= max_side_size
-
-    def emit(family: str, left: Term, right: Term) -> None:
-        out.append(RelationInstance(family, left, right))
-
-    for (dim, dirs), terms in universe.levels.items():
-        upper_dirs = [
-            d
-            for d in range(1, cfg.dir_universe + 1)
-            if d not in dirs and dim + 1 <= cfg.max_dim
-        ]
-        for x in terms:
-            for d in dirs:
-                # dual[d](dual[d](x)) ~ x
-                if want("involutive") and fits(x.size + 2, x.size):
-                    emit("involutive", b.dual(d, b.dual(d, x)), x)
-                # comp[d](x, id[d](source)) ~ x ~ comp[d](id[d](target), x)
-                sx = b.boundary(x, d, "s")
-                tx = b.boundary(x, d, "t")
-                if want("unit-right") and fits(x.size + sx.size + 2, x.size):
-                    emit("unit-right", b.comp(d, x, b.refl(d, sx)), x)
-                if want("unit-left") and fits(x.size + tx.size + 2, x.size):
-                    emit("unit-left", b.comp(d, b.refl(d, tx), x), x)
-                for e in dirs:
-                    if e <= d:
-                        continue
-                    # duals in distinct directions commute
-                    if want("star-commute") and fits(x.size + 2, x.size + 2):
-                        emit(
-                            "star-commute",
-                            b.dual(e, b.dual(d, x)),
-                            b.dual(d, b.dual(e, x)),
-                        )
-            for d in upper_dirs:
-                # dual[d](id[d](x)) ~ id[d](x)
-                if want("id-hermitian") and fits(x.size + 2, x.size + 1):
-                    emit("id-hermitian", b.dual(d, b.refl(d, x)), b.refl(d, x))
-                # dual[e](id[d](x)) ~ id[d](dual[e](x)) for e in the level
-                if want("id-hermitian-transverse"):
-                    for e in dirs:
-                        if fits(x.size + 2, x.size + 2):
-                            emit(
-                                "id-hermitian-transverse",
-                                b.dual(e, b.refl(d, x)),
-                                b.refl(d, b.dual(e, x)),
-                            )
-
-        for d in dirs:
-            pairs = list(_composable_pairs(universe, terms, d))
-            for x, y in pairs:
-                # dual[d] reverses a composition in its own direction
-                if want("star-antihomo") and fits(x.size + y.size + 2, x.size + y.size + 3):
-                    emit(
-                        "star-antihomo",
-                        b.dual(d, b.comp(d, x, y)),
-                        b.comp(d, b.dual(d, y), b.dual(d, x)),
-                    )
-                # dual[e] passes through a d-composition for e distinct from d
-                if want("star-homo-transverse"):
-                    for e in dirs:
-                        if e == d:
-                            continue
-                        if fits(x.size + y.size + 2, x.size + y.size + 3):
-                            emit(
-                                "star-homo-transverse",
-                                b.dual(e, b.comp(d, x, y)),
-                                b.comp(d, b.dual(e, x), b.dual(e, y)),
-                            )
-                # reflectors are functorial over lower compositions
-                if want("id-functoriality"):
-                    for up in upper_dirs:
-                        if fits(x.size + y.size + 2, x.size + y.size + 3):
-                            emit(
-                                "id-functoriality",
-                                b.refl(up, b.comp(d, x, y)),
-                                b.comp(d, b.refl(up, x), b.refl(up, y)),
-                            )
-            if want("assoc"):
-                by_target: dict[int, list[Term]] = {}
-                for z in terms:
-                    by_target.setdefault(b.boundary(z, d, "t").nid, []).append(z)
-                for x, y in pairs:
-                    for z in by_target.get(b.boundary(y, d, "s").nid, []):
-                        if fits(x.size + y.size + z.size + 2, x.size + y.size + z.size + 2):
-                            emit(
-                                "assoc",
-                                b.comp(d, x, b.comp(d, y, z)),
-                                b.comp(d, b.comp(d, x, y), z),
-                            )
-        if want("exchange") and dim >= 2:
-            for e in dirs:
-                for f in dirs:
-                    if f == e:
-                        continue
-                    e_pairs = list(_composable_pairs(universe, terms, e))
-                    f_by_target: dict[int, list[Term]] = {}
-                    for z in terms:
-                        f_by_target.setdefault(b.boundary(z, f, "t").nid, []).append(z)
-                    e_by_target: dict[int, list[Term]] = {}
-                    for z in terms:
-                        e_by_target.setdefault(b.boundary(z, e, "t").nid, []).append(z)
-                    for x, y in e_pairs:
-                        for w in f_by_target.get(b.boundary(x, f, "s").nid, []):
-                            sy_f = b.boundary(y, f, "s").nid
-                            sw_e = b.boundary(w, e, "s").nid
-                            for z in e_by_target.get(sw_e, []):
-                                if b.boundary(z, f, "t").nid != sy_f:
-                                    continue
-                                total = x.size + y.size + w.size + z.size + 3
-                                if not fits(total, total):
-                                    continue
-                                emit(
-                                    "exchange",
-                                    b.comp(f, b.comp(e, x, y), b.comp(e, w, z)),
-                                    b.comp(e, b.comp(f, x, w), b.comp(f, y, z)),
-                                )
-        if include_contraction and want("contraction-projection"):
+    for level, terms in universe.levels.items():
+        upper = reflector_dirs(b.config, level)
+        for family, dirs, operands in ground_level(b, level, terms, upper, wanted):
+            scheme = SCHEMES[family]
+            if max_side_size is not None:
+                sizes = [t.size for t in operands]
+                # every scheme has a side holding each operand once, so a side
+                # outgrows the operands' total: most oversized matches stop there
+                if sum(sizes) >= max_side_size:
+                    continue
+                if max(scheme(NODE_COUNTS, *dirs, *sizes)) > max_side_size:
+                    continue
+            out.append(RelationInstance(family, *scheme(b, *dirs, *operands)))
+        if include_contraction and "contraction-projection" in wanted:
             for t in terms:
                 if t.kind == KAPPA:
-                    emit("contraction-projection", t, b.refl(t.d, t.left))
+                    out.append(
+                        RelationInstance("contraction-projection", t, b.refl(t.d, t.left))
+                    )
     return out
 
 

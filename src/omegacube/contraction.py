@@ -33,6 +33,7 @@ from .presentation import (
     TruncationConfig,
     ValidationReport,
 )
+from .relations import reflector_dirs
 from .strict import Evaluator, EvalError
 from .term import (
     COMP,
@@ -42,6 +43,7 @@ from .term import (
     REFL,
     Term,
     TermBuilder,
+    TermError,
     TermUniverse,
     enumerate_free_magma,
 )
@@ -92,6 +94,11 @@ class ContractionData:
 
     def kappa_of(self, d: int, x: Term, y: Term) -> Term:
         """The chosen filler from x to y in direction d."""
+        try:
+            self.builder._own(x, y)
+        except TermError as exc:
+            # fillers are keyed by nid, which a term of another builder may share
+            raise ContractionError(str(exc)) from None
         if x is y:
             return self.builder.refl(d, x)
         node = self.kappa.get((d, x.nid, y.nid))
@@ -269,10 +276,10 @@ def validate_contraction(cd: ContractionData) -> ValidationReport:
     cfg = cd.config
 
     expected: set[tuple[int, int, int]] = set()
-    for (dim, dirs), terms in sorted(cd.universe.levels.items()):
-        if dim >= cfg.max_dim:
+    for level, terms in sorted(cd.universe.levels.items()):
+        upper = reflector_dirs(cfg, level)
+        if not upper:
             continue
-        upper = [d for d in range(1, cfg.dir_universe + 1) if d not in dirs]
         by_root: dict[int, list[Term]] = {}
         for t in terms:
             by_root.setdefault(session.find(t.nid), []).append(t)
@@ -344,19 +351,16 @@ def validate_contraction(cd: ContractionData) -> ValidationReport:
                 )
 
     # degeneracy: diagonal requests collapse to reflectors
-    for (dim, dirs), terms in sorted(cd.universe.levels.items()):
-        if dim >= cfg.max_dim:
-            continue
+    for level, terms in sorted(cd.universe.levels.items()):
+        upper = reflector_dirs(cfg, level)
         for t in terms:
-            for d in range(1, cfg.dir_universe + 1):
-                if d in dirs:
-                    continue
+            for d in upper:
                 report.checked += 1
                 diag = b.kappa(d, t, t)
                 if diag.kind != REFL or diag.body is not t:
                     report.add(
                         "kappa-degenerate",
-                        (dim, dirs),
+                        level,
                         f"kappa[{d}]({t.text},{t.text}) is {diag.text}, not the reflector",
                     )
     return report

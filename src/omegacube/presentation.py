@@ -101,10 +101,12 @@ class CellRef:
     dim: int
     dirs: Dirs
     name: str
+    # (dim, dirs), built once per cell rather than on every read; it is not
+    # compared, so equality and hashing stay on (dim, dirs, name)
+    level: LevelKey = field(init=False, repr=False, compare=False)
 
-    @property
-    def level(self) -> LevelKey:
-        return (self.dim, self.dirs)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "level", (self.dim, self.dirs))
 
     def __str__(self) -> str:
         return f"{format_level(self.level)}:{self.name}"

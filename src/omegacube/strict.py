@@ -3,12 +3,14 @@
 A StrictCategoryTable extends a presentation with reflector, dual, and
 composition tables.  Compositions are partial: the table for a level
 and direction must be defined on exactly the boundary-compatible pairs
-of that level.  Validators check the structural boundary laws, the
-strictness axioms (associativity, two-sided units, functoriality of
-reflectors, exchange), and the involutive axioms (involutivity,
-commutation of distinct duals, the reversal and transverse laws for
-duals over compositions, self-duality of reflectors) by exhausting all
-instances; every failure is reported with the witnessing cells.
+of that level.  validate_strict checks totality, typing and the
+structural boundary laws, then the strict schemes of the relations
+module (associativity, units, functoriality of reflectors, exchange);
+validate_involutive checks its involutive schemes (the laws of duals).
+Both ground the schemes over the table's own cells and evaluate both
+sides in its tables, so a model is checked against the very schemes
+that generate the word problem.  Every failure is reported under the
+scheme's tag with the witnessing cells, directions and values.
 
 Evaluation interprets free terms in a table via a generator assignment,
 and check_universal_factorization certifies that this interpretation is
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .presentation import (
     CellRef,
@@ -28,13 +31,20 @@ from .presentation import (
     PresentationError,
     SetMorphism,
     ValidationReport,
-    dirs_without,
+    dirs_with,
     format_level,
     make_dirs,
     parse_level,
     validate_cubical_axioms,
     validate_morphism,
     validate_quiver,
+)
+from .relations import (
+    INVOLUTIVE_SCHEMES,
+    STRICT_SCHEMES,
+    composable_pairs,
+    ground_level,
+    reflector_dirs,
 )
 from .term import COMP, DUAL, GEN, KAPPA, REFL, Term, TermUniverse
 
@@ -147,18 +157,6 @@ class StrictCategoryTable:
             fh.write("\n")
 
 
-def _composable_cell_pairs(c: StrictCategoryTable, level: LevelKey, d: int):
-    p = c.underlying
-    cells = p.cells.get(level, [])
-    by_target: dict[str, list[CellRef]] = {}
-    for y in cells:
-        by_target.setdefault(p.face(y, d, "t").name, []).append(y)
-    for x in cells:
-        sx = p.face(x, d, "s").name
-        for y in by_target.get(sx, []):
-            yield x, y
-
-
 def validate_strict(c: StrictCategoryTable) -> ValidationReport:
     """Exhaustively check typing, boundary laws, and strictness axioms."""
     p = c.underlying
@@ -169,13 +167,12 @@ def validate_strict(c: StrictCategoryTable) -> ValidationReport:
         # boundary laws below would cascade on broken faces
         return report
 
+    ops = _table_ops(c)
     # reflector tables: total on the lower level, typed one level up
     for level in p.levels():
         dim, dirs = level
-        for d in range(1, p.config.dir_universe + 1):
-            if d in dirs or dim + 1 > p.config.max_dim:
-                continue
-            up_level = (dim + 1, tuple(sorted(dirs + (d,))))
+        for d in reflector_dirs(p.config, level):
+            up_level = (dim + 1, dirs_with(dirs, d))
             table = c.refl.get((up_level[0], up_level[1], d), {})
             up_names = {cell.name for cell in p.cells.get(up_level, [])}
             for cell in p.cells[level]:
@@ -232,7 +229,7 @@ def validate_strict(c: StrictCategoryTable) -> ValidationReport:
         for d in dirs:
             table = c.comp.get((dim, dirs, d), {})
             compatible = set()
-            for x, y in _composable_cell_pairs(c, level, d):
+            for x, y in composable_pairs(ops, p.cells[level], d):
                 compatible.add((x.name, y.name))
                 report.checked += 1
                 if (x.name, y.name) not in table:
@@ -263,10 +260,8 @@ def validate_strict(c: StrictCategoryTable) -> ValidationReport:
     for level in p.levels():
         dim, dirs = level
         for cell in p.cells[level]:
-            for d in range(1, p.config.dir_universe + 1):
-                if d in dirs or dim + 1 > p.config.max_dim:
-                    continue
-                if (dim + 1, tuple(sorted(dirs + (d,)))) not in p.cells:
+            for d in reflector_dirs(p.config, level):
+                if (dim + 1, dirs_with(dirs, d)) not in p.cells:
                     continue
                 r = c.refl_of(cell, d)
                 for side in ("s", "t"):
@@ -321,7 +316,7 @@ def validate_strict(c: StrictCategoryTable) -> ValidationReport:
                                 f"{got.name!r}, expected {want.name!r}",
                             )
         for d in dirs:
-            for x, y in _composable_cell_pairs(c, level, d):
+            for x, y in composable_pairs(ops, p.cells[level], d):
                 z = c.comp_of(d, x, y)
                 report.checked += 2
                 if p.face(z, d, "s") != p.face(y, d, "s"):
@@ -355,104 +350,7 @@ def validate_strict(c: StrictCategoryTable) -> ValidationReport:
     if not report.ok:
         # with boundary laws broken, nested composites below may be undefined
         return report
-
-    # associativity
-    for level in p.levels():
-        dim, dirs = level
-        for d in dirs:
-            pairs = list(_composable_cell_pairs(c, level, d))
-            by_target: dict[str, list[CellRef]] = {}
-            for z in p.cells[level]:
-                by_target.setdefault(p.face(z, d, "t").name, []).append(z)
-            for x, y in pairs:
-                for z in by_target.get(p.face(y, d, "s").name, []):
-                    report.checked += 1
-                    lhs = c.comp_of(d, x, c.comp_of(d, y, z))
-                    rhs = c.comp_of(d, c.comp_of(d, x, y), z)
-                    if lhs != rhs:
-                        report.add(
-                            "assoc",
-                            level,
-                            f"({x.name!r}*{y.name!r})*{z.name!r} = {rhs.name!r} but "
-                            f"{x.name!r}*({y.name!r}*{z.name!r}) = {lhs.name!r} in direction {d}",
-                        )
-
-    # two-sided units
-    for level in p.levels():
-        dim, dirs = level
-        for cell in p.cells[level]:
-            for d in dirs:
-                report.checked += 2
-                right = c.comp_of(d, cell, c.refl_of(p.face(cell, d, "s"), d))
-                left = c.comp_of(d, c.refl_of(p.face(cell, d, "t"), d), cell)
-                if right != cell:
-                    report.add(
-                        "unit-right",
-                        level,
-                        f"{cell.name!r} composed with the reflector of its source({d}) "
-                        f"gives {right.name!r}",
-                    )
-                if left != cell:
-                    report.add(
-                        "unit-left",
-                        level,
-                        f"the reflector of the target({d}) composed with {cell.name!r} "
-                        f"gives {left.name!r}",
-                    )
-
-    # functoriality of reflectors over lower compositions
-    for level in p.levels():
-        dim, dirs = level
-        for d in range(1, p.config.dir_universe + 1):
-            if d in dirs or dim + 1 > p.config.max_dim:
-                continue
-            if (dim + 1, tuple(sorted(dirs + (d,)))) not in p.cells:
-                continue
-            for e in dirs:
-                for x, y in _composable_cell_pairs(c, level, e):
-                    report.checked += 1
-                    lhs = c.refl_of(c.comp_of(e, x, y), d)
-                    rhs = c.comp_of(e, c.refl_of(x, d), c.refl_of(y, d))
-                    if lhs != rhs:
-                        report.add(
-                            "id-functoriality",
-                            level,
-                            f"reflector({d}) of {x.name!r}*{y.name!r} is {lhs.name!r} "
-                            f"but the composite of reflectors is {rhs.name!r}",
-                        )
-
-    # exchange of compositions in distinct directions
-    for level in p.levels():
-        dim, dirs = level
-        if dim < 2:
-            continue
-        for e in dirs:
-            for f in dirs:
-                if f == e:
-                    continue
-                e_pairs = list(_composable_cell_pairs(c, level, e))
-                f_by_target: dict[str, list[CellRef]] = {}
-                e_by_target: dict[str, list[CellRef]] = {}
-                for z in p.cells[level]:
-                    f_by_target.setdefault(p.face(z, f, "t").name, []).append(z)
-                    e_by_target.setdefault(p.face(z, e, "t").name, []).append(z)
-                for x, y in e_pairs:
-                    for w in f_by_target.get(p.face(x, f, "s").name, []):
-                        for z in e_by_target.get(p.face(w, e, "s").name, []):
-                            if p.face(z, f, "t") != p.face(y, f, "s"):
-                                continue
-                            report.checked += 1
-                            lhs = c.comp_of(f, c.comp_of(e, x, y), c.comp_of(e, w, z))
-                            rhs = c.comp_of(e, c.comp_of(f, x, w), c.comp_of(f, y, z))
-                            if lhs != rhs:
-                                report.add(
-                                    "exchange",
-                                    level,
-                                    f"exchange fails on ({x.name!r},{y.name!r},"
-                                    f"{w.name!r},{z.name!r}) for directions ({e},{f}): "
-                                    f"{lhs.name!r} vs {rhs.name!r}",
-                                )
-    return report
+    return _check_schemes(c, report, STRICT_SCHEMES)
 
 
 def validate_involutive(c: StrictCategoryTable) -> ValidationReport:
@@ -468,88 +366,49 @@ def validate_involutive(c: StrictCategoryTable) -> ValidationReport:
     if not structural.ok:
         report.merge(structural)
         return report
+    return _check_schemes(c, report, INVOLUTIVE_SCHEMES)
 
-    def compare(tag, level, describe, lhs_thunk, rhs_thunk):
-        report.checked += 1
-        try:
-            lhs = lhs_thunk()
-            rhs = rhs_thunk()
-        except EvalError as exc:
-            report.add(tag, level, f"{describe}: side undefined ({exc})")
-            return
-        if lhs != rhs:
-            report.add(tag, level, f"{describe}: {lhs.name!r} vs {rhs.name!r}")
 
+def _table_ops(c: StrictCategoryTable) -> SimpleNamespace:
+    """A table's operation lookups in the argument order of the schemes."""
+    return SimpleNamespace(
+        refl=lambda d, x: c.refl_of(x, d),
+        dual=lambda d, x: c.dual_of(x, d),
+        comp=c.comp_of,
+        boundary=c.underlying.face,
+    )
+
+
+def _check_schemes(
+    c: StrictCategoryTable, report: ValidationReport, schemes: dict
+) -> ValidationReport:
+    """Evaluate both sides of every grounded instance of the schemes in the table.
+
+    A level's reflector directions are those whose upper level has
+    cells.  A violation carries the scheme's tag and names the operand
+    cells, the directions and both values, or the side that failed to
+    evaluate.
+    """
+    p = c.underlying
+    ops = _table_ops(c)
     for level in p.levels():
         dim, dirs = level
-        for cell in p.cells[level]:
-            for d in dirs:
-                compare(
-                    "involutive",
-                    level,
-                    f"double dual({d}) of {cell.name!r}",
-                    lambda cell=cell, d=d: c.dual_of(c.dual_of(cell, d), d),
-                    lambda cell=cell: cell,
-                )
-                for e in dirs:
-                    if e <= d:
-                        continue
-                    compare(
-                        "star-commute",
-                        level,
-                        f"duals({d},{e}) of {cell.name!r}",
-                        lambda cell=cell, d=d, e=e: c.dual_of(c.dual_of(cell, d), e),
-                        lambda cell=cell, d=d, e=e: c.dual_of(c.dual_of(cell, e), d),
-                    )
-        for d in dirs:
-            for x, y in _composable_cell_pairs(c, level, d):
-                compare(
-                    "star-antihomo",
-                    level,
-                    f"dual({d}) of {x.name!r}*{y.name!r} vs reversed composite of duals",
-                    lambda x=x, y=y, d=d: c.dual_of(c.comp_of(d, x, y), d),
-                    lambda x=x, y=y, d=d: c.comp_of(d, c.dual_of(y, d), c.dual_of(x, d)),
-                )
-                for e in dirs:
-                    if e == d:
-                        continue
-                    compare(
-                        "star-homo-transverse",
-                        level,
-                        f"dual({e}) of {x.name!r}*{y.name!r} in direction {d} "
-                        f"vs composite of duals",
-                        lambda x=x, y=y, d=d, e=e: c.dual_of(c.comp_of(d, x, y), e),
-                        lambda x=x, y=y, d=d, e=e: c.comp_of(
-                            d, c.dual_of(x, e), c.dual_of(y, e)
-                        ),
-                    )
-
-    # self-duality of reflectors
-    for level in p.levels():
-        dim, dirs = level
-        for d in range(1, p.config.dir_universe + 1):
-            if d in dirs or dim + 1 > p.config.max_dim:
-                continue
-            up_level = (dim + 1, tuple(sorted(dirs + (d,))))
-            if up_level not in p.cells:
-                continue
-            for cell in p.cells[level]:
-                compare(
-                    "id-hermitian",
-                    level,
-                    f"dual({d}) of the reflector of {cell.name!r} vs itself",
-                    lambda cell=cell, d=d: c.dual_of(c.refl_of(cell, d), d),
-                    lambda cell=cell, d=d: c.refl_of(cell, d),
-                )
-                for e in dirs:
-                    compare(
-                        "id-hermitian-transverse",
-                        level,
-                        f"dual({e}) of reflector({d}) of {cell.name!r} "
-                        f"vs reflector of the dual",
-                        lambda cell=cell, d=d, e=e: c.dual_of(c.refl_of(cell, d), e),
-                        lambda cell=cell, d=d, e=e: c.refl_of(c.dual_of(cell, e), d),
-                    )
+        upper = [
+            d for d in reflector_dirs(p.config, level) if (dim + 1, dirs_with(dirs, d)) in p.cells
+        ]
+        for family, ds, operands in ground_level(ops, level, p.cells[level], upper, schemes):
+            report.checked += 1
+            try:
+                lhs, rhs = schemes[family](ops, *ds, *operands)
+            except EvalError as exc:
+                outcome = f"side undefined ({exc})"
+            else:
+                if lhs is rhs or lhs == rhs:
+                    continue
+                outcome = f"{lhs.name!r} vs {rhs.name!r}"
+            cells = ", ".join(repr(x.name) for x in operands)
+            where = ",".join(map(str, ds))
+            report.add(family, level, f"{family} on cells {cells}, direction(s) {where}: {outcome}")
     return report
 
 

@@ -1,5 +1,8 @@
 """Congruence closure: saturation, verdicts, proofs, audits."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 
 from omegacube import (
@@ -14,8 +17,12 @@ from omegacube import (
     audit_congruence,
     as_strict_table,
     cyclic_group_category,
+    validate_involutive,
+    validate_strict,
     word_separator,
 )
+from omegacube import strict
+from omegacube.relations import NODE_COUNTS, SCHEMES, ground_level, reflector_dirs
 
 
 def by_text(universe, text):
@@ -26,6 +33,87 @@ def test_family_catalogue_is_fixed():
     assert len(FAMILIES) == 12
     assert "assoc" in FAMILIES
     assert "contraction-projection" in FAMILIES
+
+
+DEPTH3_INSTANCES = {
+    None: (
+        {
+            "assoc": 38149,
+            "unit-left": 200,
+            "unit-right": 200,
+            "id-functoriality": 1453,
+            "exchange": 7640,
+            "involutive": 200,
+            "star-commute": 61,
+            "star-antihomo": 2292,
+            "star-homo-transverse": 839,
+            "id-hermitian": 84,
+            "id-hermitian-transverse": 78,
+        },
+        "5a2e2a03909dce5a2d578c7dc79e5293054b87b9061e1907a807f444945065cb",
+    ),
+    7: (
+        {
+            "assoc": 32,
+            "unit-left": 64,
+            "unit-right": 64,
+            "id-functoriality": 26,
+            "involutive": 184,
+            "star-commute": 61,
+            "star-antihomo": 29,
+            "star-homo-transverse": 3,
+            "id-hermitian": 68,
+            "id-hermitian-transverse": 62,
+        },
+        "f1002c0e798a4d00acab3e6322a9de91a04df52acce80e812228fbc2746e7224",
+    ),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+def test_depth_three_instances_per_family(quiver, cap):
+    counts, digest = DEPTH3_INSTANCES[cap]
+    rels = instantiate_relations(enumerate_free_magma(quiver, 3), max_side_size=cap)
+    assert Counter(r.family for r in rels) == counts
+    # the sequence itself, in order, down to the text of each side
+    h = hashlib.sha256()
+    for r in rels:
+        h.update(f"{r.family} {r.left.text} {r.right.text}\n".encode())
+    assert h.hexdigest() == digest
+
+
+def test_every_scheme_has_a_side_larger_than_its_operands(quiver):
+    # instantiate_relations drops a match under max_side_size as soon as its
+    # operands alone reach the cap, which is exact only while this holds
+    u = enumerate_free_magma(quiver, 3)
+    seen = set()
+    for level, terms in u.levels.items():
+        upper = reflector_dirs(quiver.config, level)
+        for family, dirs, operands in ground_level(u.builder, level, terms, upper, SCHEMES):
+            sizes = [t.size for t in operands]
+            assert max(SCHEMES[family](NODE_COUNTS, *dirs, *sizes)) > sum(sizes)
+            seen.add(family)
+    assert seen == set(SCHEMES)
+
+
+def test_each_scheme_is_checked_by_exactly_one_validator(monkeypatch, iso_square):
+    grounded = {}
+    real = strict.ground_level
+
+    def recording(*args):
+        for match in real(*args):
+            grounded.setdefault(current, Counter())[match[0]] += 1
+            yield match
+
+    monkeypatch.setattr(strict, "ground_level", recording)
+    current = "involutive"
+    involutive = validate_involutive(iso_square)
+    current = "strict"
+    validate_strict(iso_square)
+    schemes = set(FAMILIES) - {"contraction-projection"}
+    assert set(grounded["strict"]) | set(grounded["involutive"]) == schemes
+    assert not set(grounded["strict"]) & set(grounded["involutive"])
+    assert involutive.checked == sum(grounded["involutive"].values())
 
 
 def test_instantiation_rejects_unknown_families(universe3):

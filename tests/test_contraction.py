@@ -10,6 +10,7 @@ from omegacube import (
     SetMorphism,
     TermBuilder,
     build_free_contraction,
+    enumerate_free_magma,
     free_on_morphism,
     instantiate_relations,
     two_generator_quiver,
@@ -86,6 +87,20 @@ def test_unidentified_pairs_have_no_filler(contraction):
     assert not contraction.pi_same(f, g)
     with pytest.raises(ContractionError):
         contraction.kappa_of(2, f, g)
+
+
+def test_fillers_reject_terms_of_other_builders(contraction):
+    stranger = TermBuilder(contraction.presentation, mode="contraction")
+    enumerate_free_magma(stranger, 2)
+    # a filler key whose nids both name terms of the second builder
+    d, xn, yn = next(k for k in sorted(contraction.kappa) if max(k[1:]) < len(stranger))
+    x, y = stranger.terms[xn], stranger.terms[yn]
+    with pytest.raises(ContractionError, match="another builder"):
+        contraction.kappa_of(d, x, y)
+    with pytest.raises(ContractionError, match="another builder"):
+        contraction.kappa_of(d, x, x)
+    own = contraction.builder.terms
+    assert contraction.kappa_of(d, own[xn], own[yn]) is contraction.kappa[(d, xn, yn)]
 
 
 def test_missing_filler_is_detected(scratch):

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from omegacube import (
+    CellRef,
     CubicalSetPresentation,
     PresentationError,
     SetMorphism,
@@ -91,6 +92,16 @@ def test_cell_lookup_canonicalizes_directions_on_a_miss(iso_square):
         p.cell(2, (1, 1), name)
     with pytest.raises(PresentationError, match=re.escape("no cell 'nope' at level 2/1,2")):
         p.cell(2, (2, 1), "nope")
+
+
+def test_cell_level_is_computed_once(quiver):
+    cell = quiver.cell(1, (1,), "f")
+    assert cell.level is cell.level
+    assert cell.level == (1, (1,))
+    # level is not compared: equality and hashing ignore it
+    fresh = CellRef(1, (1,), "f")
+    assert fresh == cell and hash(fresh) == hash(cell)
+    assert CellRef(1, (1,), "g") != cell
 
 
 def test_face_reads_an_edited_table(seed_config):

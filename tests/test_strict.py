@@ -1,5 +1,7 @@
 """Strict tables: validators under tampering, evaluation, factorization."""
 
+from collections import Counter
+
 import pytest
 
 from omegacube import (
@@ -12,8 +14,10 @@ from omegacube import (
     as_strict_table,
     build_product,
     check_universal_factorization,
+    cyclic_group_category,
     enumerate_free_magma,
     eval_term,
+    pair_groupoid,
     tabular_extension,
     two_generator_quiver,
     validate_involutive,
@@ -113,6 +117,75 @@ def test_self_inverse_dual_breaks_antihomomorphism():
     report = validate_involutive(c)
     assert not report.ok
     assert any(v.tag == "star-antihomo" for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "factors, max_dim, strict_checked, involutive_checked",
+    [
+        ((walking_isomorphism, lambda: pair_groupoid(3)), 2, 3510, 648),
+        (
+            (walking_isomorphism, lambda: pair_groupoid(3), lambda: cyclic_group_category(2)),
+            3,
+            19536,
+            3762,
+        ),
+        (
+            (lambda: pair_groupoid(4), lambda: pair_groupoid(3), lambda: cyclic_group_category(3)),
+            3,
+            143952,
+            24300,
+        ),
+    ],
+    ids=["72-cells", "216-cells", "960-cells"],
+)
+def test_validator_check_counts_on_product_tables(
+    factors, max_dim, strict_checked, involutive_checked
+):
+    cfg = TruncationConfig(max_dim=max_dim, dir_universe=max_dim, term_depth=1)
+    c = build_product([make() for make in factors], cfg)
+    strict, involutive = validate_strict(c), validate_involutive(c)
+    assert strict.ok and involutive.ok
+    assert (strict.checked, involutive.checked) == (strict_checked, involutive_checked)
+
+
+ARROWS = (1, (1,), 1)
+
+
+@pytest.mark.parametrize(
+    "plant, strict_tags, involutive_tags, example",
+    [
+        (
+            lambda c: c.comp[ARROWS].update({("g1", "g1"): "g1"}),
+            {"assoc": 4},
+            {"star-antihomo": 2},
+            "assoc on cells 'g1', 'g1', 'g2', direction(s) 1: 'g1' vs 'g0'",
+        ),
+        (
+            lambda c: c.dual[ARROWS].update({"g0": "g1", "g1": "g2", "g2": "g0"}),
+            {},
+            {"involutive": 3, "id-hermitian": 1, "star-antihomo": 9},
+            "id-hermitian on cells 'e', direction(s) 1: 'g1' vs 'g0'",
+        ),
+        (
+            lambda c: c.refl[ARROWS].update({"e": "g1"}),
+            {"unit-left": 3, "unit-right": 3},
+            {"id-hermitian": 1},
+            "unit-right on cells 'g0', 'e', direction(s) 1: 'g1' vs 'g0'",
+        ),
+    ],
+    ids=["comp", "dual", "refl"],
+)
+def test_planted_axiom_faults_carry_their_scheme_tags(
+    plant, strict_tags, involutive_tags, example
+):
+    c = as_strict_table(cyclic_group_category(3))
+    plant(c)
+    strict, involutive = validate_strict(c), validate_involutive(c)
+    assert Counter(v.tag for v in strict.violations) == strict_tags
+    assert Counter(v.tag for v in involutive.violations) == involutive_tags
+    assert (strict.checked, involutive.checked) == (78, 13)
+    # a violation names its operand cells, its directions and both values
+    assert example in [v.detail for v in strict.violations + involutive.violations]
 
 
 def test_deleted_dual_entry_yields_undefined_side_reports():
