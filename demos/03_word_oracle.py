@@ -12,13 +12,15 @@ import random
 
 from omegacube import (
     TruncationConfig,
+    as_strict_table,
     enumerate_free_magma,
     normal_form_dim1,
     oracle_compare,
     rewrite_normalize,
     truncated_free_involutive_category,
     two_generator_quiver,
-    validate_involutive_category,
+    validate_involutive,
+    validate_strict,
     word_of_reduced,
 )
 
@@ -36,8 +38,10 @@ for t in b_universe.level(1, (1,))[:6]:
     print(f"  {t.text:40s} -> {str(direct):8s} [{marker}]")
 
 trunc = truncated_free_involutive_category(quiver, max_len=3)
-report = validate_involutive_category(trunc)
-print(f"\ntruncated word category: {len(trunc.arrows)} arrows; {report.summary()}")
+view = as_strict_table(trunc)
+print(f"\ntruncated word category: {len(trunc.arrows)} arrows")
+for report in (validate_strict(view), validate_involutive(view)):
+    print(f"  {report.summary()}")
 
 sweep = oracle_compare(quiver, depth=5, size_cap=6, max_side_size=13)
 print("\nfull sweep against the oracle:")

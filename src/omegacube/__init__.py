@@ -48,8 +48,6 @@ from .models import (
     rich_loop_target,
     truncated_free_involutive_category,
     two_generator_quiver,
-    validate_category,
-    validate_involutive_category,
     walking_arrow,
     walking_isomorphism,
     word_of_reduced,

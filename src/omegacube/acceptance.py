@@ -254,15 +254,13 @@ def criterion_relation_provability(seed: int = DEFAULT_SEED) -> dict:
     targets = _product_targets()
     audit_violations = []
     assignments_run = 0
-    by_root: dict[int, list] = {}
-    for t in universe.all_terms():
-        by_root.setdefault(session.find(t.nid), []).append(t)
+    classes = session.classes(universe.all_terms())
     for i in range(AUDIT_ASSIGNMENTS):
         table = targets[i % len(targets)]
         assignment = random_assignment(p, table, rng, name=f"audit-{i}")
         ev = Evaluator(assignment)
         assignments_run += 1
-        for members in by_root.values():
+        for members in classes:
             base = ev.eval(members[0])
             for m in members[1:]:
                 if ev.eval(m) != base:

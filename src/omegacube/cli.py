@@ -29,7 +29,6 @@ from .models import (
     as_strict_table,
     build_product,
     oracle_compare,
-    validate_involutive_category,
 )
 from .presentation import (
     CubicalSetPresentation,
@@ -205,6 +204,13 @@ def _auto_separators(p: CubicalSetPresentation, level) -> list:
         return []
 
 
+def _require_valid_category(category: InvolutiveOneCategory, what: str) -> None:
+    """Reject a category file unless its strict view passes both validators."""
+    view = as_strict_table(category)
+    if not (validate_strict(view).ok and validate_involutive(view).ok):
+        raise ValueError(f"{what} is not a valid involutive category")
+
+
 def cmd_decide(args) -> int:
     p = _load_presentation(args.path, args)
     builder = TermBuilder(p)
@@ -221,9 +227,7 @@ def cmd_decide(args) -> int:
         separators.extend(_auto_separators(p, t1.level))
     for sep_path in args.separator or []:
         category = InvolutiveOneCategory.from_dict(_load_json(sep_path))
-        cat_report = validate_involutive_category(category)
-        if not cat_report.ok:
-            raise ValueError(f"separator {sep_path} is not a valid involutive category")
+        _require_valid_category(category, f"separator {sep_path}")
         direction = t1.dirs[0] if t1.dim == 1 else 1
         table = as_strict_table(category, direction=direction)
         separators.append(_assignment_by_name(p, table, sep_path))
@@ -249,9 +253,7 @@ def cmd_decide(args) -> int:
 def cmd_product(args) -> int:
     factors = [InvolutiveOneCategory.from_dict(_load_json(path)) for path in args.paths]
     for path, factor in zip(args.paths, factors):
-        cat_report = validate_involutive_category(factor)
-        if not cat_report.ok:
-            raise ValueError(f"factor {path} is not a valid involutive category")
+        _require_valid_category(factor, f"factor {path}")
     max_dim = args.max_dim if args.max_dim is not None else min(2, len(factors))
     cfg = TruncationConfig(max_dim=max_dim, dir_universe=len(factors), term_depth=1)
     table = build_product(factors, cfg)
@@ -263,13 +265,7 @@ def cmd_product(args) -> int:
     ]
     violations = [v.to_dict() for r in reports for v in r.violations]
     ok = not violations
-    report = table.to_dict()
-    if args.out:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.json:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit(table.to_dict(), args)
     cells = sum(len(v) for v in table.underlying.cells.values())
     status = "ok" if ok else f"FAIL ({len(violations)} violations)"
     print(
@@ -292,11 +288,8 @@ def cmd_contract(args) -> int:
     }
     partition: dict[str, list[list[str]]] = {}
     for level, terms in sorted(data.universe.levels.items()):
-        groups: dict[int, list] = {}
-        for t in terms:
-            groups.setdefault(data.session.find(t.nid), []).append(t)
         partition[format_level(level)] = sorted(
-            sorted(t.text for t in members) for members in groups.values()
+            sorted(t.text for t in members) for members in data.session.classes(terms)
         )
     report = {
         "config": {**p.config.to_dict(), "depth": depth, "budget": args.budget},

@@ -151,6 +151,13 @@ class CongruenceSession:
         self._require_known(t)
         return [self.builder.terms[n] for n in self._members[self.find(t.nid)]]
 
+    def classes(self, terms) -> list[list[Term]]:
+        """Group terms by class, in the order of each group's first member."""
+        groups: dict[int, list[Term]] = {}
+        for t in terms:
+            groups.setdefault(self.find(t.nid), []).append(t)
+        return list(groups.values())
+
     def _require_known(self, t: Term) -> None:
         if t.nid >= self._ingested:
             raise TermError(f"term {t.text} was created after the last saturation pass")

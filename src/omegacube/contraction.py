@@ -186,34 +186,28 @@ def build_free_contraction(
         session.seed(fresh).saturate(budget)
         added = 0
         excluded: list[tuple[str, str]] = []
-        if n < cfg.max_dim:
-            for (dim, dirs), terms in sorted(universe.levels.items()):
-                if dim != n:
-                    continue
-                upper = [d for d in range(1, cfg.dir_universe + 1) if d not in dirs]
-                if not upper:
-                    continue
-                by_root: dict[int, list[Term]] = {}
-                for t in terms:
-                    by_root.setdefault(session.find(t.nid), []).append(t)
-                for root in sorted(by_root, key=lambda r: by_root[r][0].sort_key):
-                    members = by_root[root]
-                    for i, x in enumerate(members):
-                        for y in members[i + 1 :]:
-                            builder.admit_kappa_pair(x, y)
-                            for d in upper:
-                                for a, b in ((x, y), (y, x)):
-                                    key = (d, a.nid, b.nid)
-                                    if key not in kappa_table:
-                                        node = builder.kappa(d, a, b)
-                                        kappa_table[key] = node
-                                        atoms.append(node)
-                                        # keep the degenerate companions in
-                                        # the universe alongside the filler
-                                        atoms.append(builder.refl(d, a))
-                                        added += 1
-                if separators:
-                    excluded.extend(_log_undecided(terms, by_root, separators))
+        for level, terms in sorted(universe.levels.items()):
+            upper = reflector_dirs(cfg, level)
+            if level[0] != n or not upper:
+                continue
+            groups = session.classes(terms)
+            for members in groups:
+                for i, x in enumerate(members):
+                    for y in members[i + 1 :]:
+                        builder.admit_kappa_pair(x, y)
+                        for d in upper:
+                            for a, b in ((x, y), (y, x)):
+                                key = (d, a.nid, b.nid)
+                                if key not in kappa_table:
+                                    node = builder.kappa(d, a, b)
+                                    kappa_table[key] = node
+                                    atoms.append(node)
+                                    # keep the degenerate companions in
+                                    # the universe alongside the filler
+                                    atoms.append(builder.refl(d, a))
+                                    added += 1
+            if separators:
+                excluded.extend(_log_undecided(groups, separators))
         stages.append(
             ContractionStage(
                 dim=n,
@@ -233,24 +227,22 @@ def build_free_contraction(
     )
 
 
-def _log_undecided(terms, by_root, separators) -> list[tuple[str, str]]:
+def _log_undecided(groups, separators) -> list[tuple[str, str]]:
     """Cross-class pairs no separator tells apart: candidates lost to budget."""
+    heads = [members[0] for members in groups]
     images = []
     for assignment in separators:
         ev = Evaluator(assignment)
         level_images = {}
-        for t in terms:
+        for t in heads:
             try:
                 level_images[t.nid] = ev.eval(t)
             except EvalError:
                 level_images[t.nid] = None
         images.append(level_images)
     out = []
-    roots = sorted(by_root, key=lambda r: by_root[r][0].sort_key)
-    for i, r1 in enumerate(roots):
-        for r2 in roots[i + 1 :]:
-            x = by_root[r1][0]
-            y = by_root[r2][0]
+    for i, x in enumerate(heads):
+        for y in heads[i + 1 :]:
             separated = any(
                 imgs[x.nid] is not None and imgs[y.nid] is not None and imgs[x.nid] != imgs[y.nid]
                 for imgs in images
@@ -280,10 +272,7 @@ def validate_contraction(cd: ContractionData) -> ValidationReport:
         upper = reflector_dirs(cfg, level)
         if not upper:
             continue
-        by_root: dict[int, list[Term]] = {}
-        for t in terms:
-            by_root.setdefault(session.find(t.nid), []).append(t)
-        for members in by_root.values():
+        for members in session.classes(terms):
             for i, x in enumerate(members):
                 for y in members[i + 1 :]:
                     for d in upper:
@@ -490,10 +479,7 @@ def validate_contraction_morphism(m: ContractionMorphism) -> ValidationReport:
                         f"but the image of the face is {rhs.text}",
                     )
     for level, terms in m.source.universe.levels.items():
-        by_root: dict[int, list[Term]] = {}
-        for t in terms:
-            by_root.setdefault(m.source.session.find(t.nid), []).append(t)
-        for members in by_root.values():
+        for members in m.source.session.classes(terms):
             base = m.phi(members[0])
             for other in members[1:]:
                 report.checked += 1
@@ -534,11 +520,7 @@ class QuotientView:
 
     def representatives(self, dim: int, dirs) -> list[Term]:
         terms = self.data.universe.level(dim, dirs)
-        by_root: dict[int, list[Term]] = {}
-        for t in terms:
-            by_root.setdefault(self.data.session.find(t.nid), []).append(t)
-        return sorted((min(ms, key=lambda m: m.sort_key) for ms in by_root.values()),
-                      key=lambda m: m.sort_key)
+        return [members[0] for members in self.data.session.classes(terms)]
 
     def cls(self, t: Term) -> Term:
         return self.data.session.class_representative(t)

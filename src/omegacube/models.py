@@ -1,8 +1,10 @@
 """Concrete finite models and oracles.
 
 Three ingredients live here.  First, finite involutive 1-categories
-given by explicit tables, with factories for small standard examples
-and a validator that exhausts every axiom instance.  Second, the
+given by explicit tables, with factories for small standard examples;
+a category is valid when its strict view (as_strict_table) passes
+validate_strict and validate_involutive, which check the relation
+schemes exactly as the word problem states them.  Second, the
 product construction: a family of involutive 1-categories indexed by
 directions 1..K yields a strict involutive cubical category whose
 level-(n, D) cells are tuples holding an arrow in the slots named by D
@@ -27,7 +29,6 @@ from .presentation import (
     PresentationError,
     SetMorphism,
     TruncationConfig,
-    ValidationReport,
 )
 from .strict import GeneratorAssignment, Evaluator, StrictCategoryTable
 from .term import (
@@ -103,87 +104,6 @@ class InvolutiveOneCategory:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _validate_category_core(c, report: ValidationReport) -> None:
-    objs = set(c.objects)
-    for f, (s, t) in c.arrows.items():
-        report.checked += 1
-        if s not in objs or t not in objs:
-            report.add("arrow-typing", None, f"arrow {f!r} has unknown endpoint(s) ({s!r}, {t!r})")
-    for o in c.objects:
-        report.checked += 1
-        i = c.identity.get(o)
-        if i is None or i not in c.arrows:
-            report.add("identity-missing", None, f"object {o!r} has no identity arrow")
-        elif c.arrows[i] != (o, o):
-            report.add("identity-typing", None, f"identity of {o!r} is not an endomorphism of it")
-    composable = set()
-    for x, (sx, tx) in c.arrows.items():
-        for y, (sy, ty) in c.arrows.items():
-            if sx == ty:
-                composable.add((x, y))
-                report.checked += 1
-                z = c.compose.get((x, y))
-                if z is None or z not in c.arrows:
-                    report.add("compose-total", None, f"no composite for ({x!r}, {y!r})")
-                elif c.arrows[z] != (sy, tx):
-                    report.add(
-                        "compose-typing",
-                        None,
-                        f"composite {z!r} of ({x!r}, {y!r}) has endpoints {c.arrows[z]}",
-                    )
-    for pair in sorted(set(c.compose) - composable):
-        report.add("compose-domain", None, f"composite defined on non-composable pair {pair!r}")
-    if report.violations:
-        return
-    for x, y in composable:
-        for z, (sz, tz) in c.arrows.items():
-            if c.arrows[y][0] == tz:
-                report.checked += 1
-                if c.compose[(c.compose[(x, y)], z)] != c.compose[(x, c.compose[(y, z)])]:
-                    report.add("assoc", None, f"associativity fails on ({x!r}, {y!r}, {z!r})")
-    for f, (s, t) in c.arrows.items():
-        report.checked += 2
-        if c.compose[(f, c.identity[s])] != f:
-            report.add("unit-right", None, f"{f!r} absorbs the identity of {s!r} incorrectly")
-        if c.compose[(c.identity[t], f)] != f:
-            report.add("unit-left", None, f"the identity of {t!r} absorbs {f!r} incorrectly")
-
-
-def validate_category(c: OneCategory) -> ValidationReport:
-    report = ValidationReport(subject=f"category({c.name})")
-    _validate_category_core(c, report)
-    return report
-
-
-def validate_involutive_category(c: InvolutiveOneCategory) -> ValidationReport:
-    report = ValidationReport(subject=f"involutive-category({c.name})")
-    _validate_category_core(c, report)
-    if report.violations:
-        return report
-    for f, (s, t) in c.arrows.items():
-        report.checked += 1
-        g = c.star.get(f)
-        if g is None or g not in c.arrows:
-            report.add("star-total", None, f"no star for arrow {f!r}")
-            continue
-        if c.arrows[g] != (t, s):
-            report.add("star-typing", None, f"star of {f!r} has endpoints {c.arrows[g]}")
-            continue
-        if c.star.get(g) != f:
-            report.add("involutive", None, f"double star of {f!r} is {c.star.get(g)!r}")
-    if report.violations:
-        return report
-    for (x, y), z in c.compose.items():
-        report.checked += 1
-        if c.star[z] != c.compose[(c.star[y], c.star[x])]:
-            report.add("star-antihomo", None, f"star does not reverse the composite of ({x!r}, {y!r})")
-    for o in c.objects:
-        report.checked += 1
-        if c.star[c.identity[o]] != c.identity[o]:
-            report.add("id-hermitian", None, f"identity of {o!r} is not self-dual")
-    return report
 
 
 def groupoid_involution(c: OneCategory) -> InvolutiveOneCategory:

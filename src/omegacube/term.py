@@ -379,10 +379,8 @@ class TermUniverse:
     """
 
     builder: TermBuilder
-    depth: int
     levels: dict[LevelKey, list[Term]]
     truncated: bool
-    kappa_atoms: list[Term]
 
     @property
     def presentation(self) -> CubicalSetPresentation:
@@ -554,13 +552,10 @@ def enumerate_free_magma(
         levels.setdefault(t.level, []).append(t)
     for terms in levels.values():
         terms.sort(key=lambda t: t.sort_key)
-    atoms = [a for a in extra_atoms if a.nid in members]
     return TermUniverse(
         builder=builder,
-        depth=depth,
         levels=dict(sorted(levels.items())),
         truncated=truncated,
-        kappa_atoms=atoms,
     )
 
 

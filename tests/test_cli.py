@@ -7,7 +7,9 @@ import pytest
 from omegacube import (
     TruncationConfig,
     as_strict_table,
+    cyclic_group_category,
     pair_groupoid,
+    truncated_free_involutive_category,
     two_generator_quiver,
     walking_isomorphism,
 )
@@ -111,6 +113,40 @@ def test_decide_unknown_exits_nonzero(quiver_file):
     assert rc == 1
 
 
+def word_category_file(tmp_path, plant=None):
+    c = truncated_free_involutive_category(two_generator_quiver(), max_len=3)
+    if plant:
+        plant(c)
+    path = tmp_path / "words.json"
+    c.to_file(path)
+    return str(path)
+
+
+def test_decide_accepts_a_valid_separator(quiver_file, tmp_path, capsys):
+    sep = word_category_file(tmp_path)
+    rc = run(
+        ["decide", quiver_file, "--t1", "gen(f)", "--t2", "dual[1](gen(f))",
+         "--depth", "1", "--separator", sep]
+    )
+    assert rc == 0
+    assert "not-equal" in capsys.readouterr().out
+
+
+def break_right_unit_of_f(c):
+    other = next(x for x, ends in sorted(c.arrows.items()) if ends == c.arrows["f"] and x != "f")
+    c.compose[("f", c.identity["a"])] = other
+
+
+def test_decide_rejects_an_invalid_separator(quiver_file, tmp_path, capsys):
+    sep = word_category_file(tmp_path, break_right_unit_of_f)
+    rc = run(
+        ["decide", quiver_file, "--t1", "gen(f)", "--t2", "dual[1](gen(f))",
+         "--depth", "1", "--separator", sep]
+    )
+    assert rc == 2
+    assert "not a valid involutive category" in capsys.readouterr().err
+
+
 def test_decide_unknown_generator_is_a_usage_error(quiver_file, capsys):
     rc = run(["decide", quiver_file, "--t1", "gen(zzz)", "--t2", "gen(f)"])
     assert rc == 2
@@ -127,13 +163,32 @@ def test_product_writes_a_valid_table(iso_file, tmp_path):
     assert len(table["cells"]["2/1,2"]) == 4 * 9
 
 
-def test_product_rejects_an_invalid_category(tmp_path, capsys):
+def star_not_reversing():
+    c = walking_isomorphism()
+    c.star["u"] = "u"
+    return c
+
+
+def compose_not_associative():
+    c = cyclic_group_category(3)
+    c.compose[("g1", "g1")] = "g1"
+    return c
+
+
+def identity_not_self_dual():
+    c = cyclic_group_category(4)
+    c.star.update(g0="g2", g2="g0")
+    return c
+
+
+@pytest.mark.parametrize(
+    "bad_category", [star_not_reversing, compose_not_associative, identity_not_self_dual]
+)
+def test_product_rejects_an_invalid_category(tmp_path, capsys, bad_category):
     bad = tmp_path / "bad_cat.json"
-    data = walking_isomorphism().to_dict()
-    data["star"]["u"] = "u"
-    bad.write_text(json.dumps(data))
+    bad_category().to_file(bad)
     assert run(["product", str(bad), str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "not a valid involutive category" in capsys.readouterr().err
 
 
 def test_contract_certifies_the_build(quiver_file, tmp_path):

@@ -25,9 +25,9 @@ from omegacube import (
     rich_loop_target,
     truncated_free_involutive_category,
     two_generator_quiver,
-    validate_category,
-    validate_involutive_category,
+    validate_involutive,
     validate_morphism,
+    validate_strict,
     walking_arrow,
     walking_isomorphism,
     word_of_reduced,
@@ -40,14 +40,59 @@ UNIVERSE1 = enumerate_free_magma(QUIVER1, 3, max_stage_dim=1)
 DIM1_TERMS = UNIVERSE1.level(1, (1,))
 
 
+def strict_view_reports(c):
+    """The two validators on the direction-1 strict view of a category."""
+    view = as_strict_table(c)
+    return validate_strict(view), validate_involutive(view)
+
+
 @pytest.mark.parametrize(
     "factory",
-    [walking_isomorphism, lambda: pair_groupoid(3), lambda: cyclic_group_category(4)],
+    [
+        walking_isomorphism,
+        lambda: pair_groupoid(3),
+        lambda: cyclic_group_category(4),
+        lambda: truncated_free_involutive_category(QUIVER1, max_len=3),
+        lambda: truncated_free_involutive_category(QUIVER1, max_len=6),
+    ],
 )
 def test_involutive_factories_satisfy_their_axioms(factory):
-    c = factory()
-    assert validate_category(c).ok
-    assert validate_involutive_category(c).ok
+    assert all(r.ok for r in strict_view_reports(factory()))
+
+
+FAULT_BASES = {
+    "iso": walking_isomorphism,
+    "c3": lambda: cyclic_group_category(3),
+    "c4": lambda: cyclic_group_category(4),
+}
+
+# keyed by the category axiom the fault breaks, as a 1-categorical
+# check would name it: (base category, planted fault, the tag the
+# strict view reports it under)
+CATEGORY_FAULTS = {
+    "arrow-typing": ("iso", lambda c: c.arrows.update(u=("a", "c")), "face-typing"),
+    "identity-missing": ("iso", lambda c: c.identity.pop("b"), "refl-total"),
+    "identity-typing": ("iso", lambda c: c.identity.update(a="u"), "refl-degenerate"),
+    "compose-total": ("iso", lambda c: c.compose.pop(("u", "v")), "comp-total"),
+    "compose-typing": ("iso", lambda c: c.compose.update({("u", "v"): "ia"}), "comp-source"),
+    "compose-domain": ("iso", lambda c: c.compose.update({("u", "u"): "u"}), "comp-domain"),
+    "assoc": ("c3", lambda c: c.compose.update({("g1", "g1"): "g1"}), "assoc"),
+    "unit-right": ("c3", lambda c: c.compose.update({("g1", "g0"): "g2"}), "unit-right"),
+    "unit-left": ("c3", lambda c: c.compose.update({("g0", "g1"): "g2"}), "unit-left"),
+    "star-total": ("iso", lambda c: c.star.pop("u"), "dual-total"),
+    "star-typing": ("iso", lambda c: c.star.update(u="u"), "dual-swap"),
+    "involutive": ("c3", lambda c: c.star.update(g1="g1", g2="g1"), "involutive"),
+    "star-antihomo": ("c4", lambda c: c.star.update(g1="g2", g2="g1", g3="g3"), "star-antihomo"),
+    "id-hermitian": ("c4", lambda c: c.star.update(g0="g2", g2="g0"), "id-hermitian"),
+}
+
+
+@pytest.mark.parametrize("fault", list(CATEGORY_FAULTS))
+def test_the_strict_view_rejects_every_category_fault(fault):
+    base, plant, tag = CATEGORY_FAULTS[fault]
+    c = FAULT_BASES[base]()
+    plant(c)
+    assert tag in {v.tag for r in strict_view_reports(c) for v in r.violations}
 
 
 def test_cyclic_composition_and_inverses():
@@ -70,7 +115,7 @@ def test_category_json_roundtrip(tmp_path):
     c.to_file(path)
     back = InvolutiveOneCategory.from_file(path)
     assert back.to_dict() == c.to_dict()
-    assert validate_involutive_category(back).ok
+    assert all(r.ok for r in strict_view_reports(back))
 
 
 def test_product_needs_one_factor_per_direction():
@@ -183,9 +228,9 @@ def test_rewriting_is_confluent_under_random_strategies(nid, seed):
 def test_truncated_word_category_is_a_finite_involutive_model():
     c = truncated_free_involutive_category(QUIVER1, max_len=3)
     assert len(c.arrows) == 30
-    report = validate_involutive_category(c)
-    assert report.ok
-    assert report.checked == 3852
+    strict, involutive = strict_view_reports(c)
+    assert strict.ok and involutive.ok
+    assert (strict.checked, involutive.checked) == (4251, 339)
 
 
 def test_truncation_absorbs_overflow_into_zero_arrows():
