@@ -113,19 +113,26 @@ class CongruenceSession:
     merged by congruence on their arguments, only by seeded relations
     or faces, which matches their role as chosen fillers rather than
     operations.
+
+    Per-node state lives in flat lists indexed by node id: the
+    union-find parent, each root's members and use-list, and the proof
+    forest, whose parent list holds -1 at a root and whose reason list
+    holds the reason of each node's edge to its parent.  A class that
+    is absorbed gives up its members and use-list for a shared empty
+    tuple, which nothing appends to because only roots grow.
     """
 
     def __init__(self, universe: TermUniverse):
         self.universe = universe
         self.builder = universe.builder
         self._parent: list[int] = []
-        self._members: list[list[int]] = []
-        self._class_parents: list[list[int]] = []
+        self._members: list[list[int] | tuple] = []
+        self._class_parents: list[list[int] | tuple] = []
         self._sig: dict[tuple, int] = {}
         self._pending: deque[tuple[int, int, object]] = deque()
         self._pending_keys: set[tuple[int, int]] = set()
-        self._pf_parent: dict[int, int] = {}
-        self._pf_reason: dict[int, object] = {}
+        self._pf_parent: list[int] = []
+        self._pf_reason: list[object] = []
         self._ingested = 0
         self.merges = 0
         self.processed = 0
@@ -189,6 +196,8 @@ class CongruenceSession:
             self._parent.append(nid)
             self._members.append([nid])
             self._class_parents.append([])
+            self._pf_parent.append(-1)
+            self._pf_reason.append(None)
             self._ingested += 1
             for a in node.args:
                 self._class_parents[self.find(a.nid)].append(nid)
@@ -203,19 +212,14 @@ class CongruenceSession:
     # merging ---------------------------------------------------------
 
     def _link_proof(self, a: int, b: int, reason: object) -> None:
-        # re-root a's proof tree so the new edge can point at b
-        path = []
-        cur = a
-        while cur in self._pf_parent:
-            path.append(cur)
-            cur = self._pf_parent[cur]
-        for node in reversed(path):
-            parent = self._pf_parent.pop(node)
-            reason_edge = self._pf_reason.pop(node)
-            self._pf_parent[parent] = node
-            self._pf_reason[parent] = reason_edge
-        self._pf_parent[a] = b
-        self._pf_reason[a] = reason
+        # re-root a's proof tree by reversing its path to the root in
+        # place, so the new edge can point at b
+        parent, why = self._pf_parent, self._pf_reason
+        prev, prev_reason, cur = b, reason, a
+        while cur != -1:
+            nxt, nxt_reason = parent[cur], why[cur]
+            parent[cur], why[cur] = prev, prev_reason
+            prev, prev_reason, cur = cur, nxt_reason, nxt
 
     def _merge(self, a: int, b: int, reason: object) -> None:
         ra, rb = self.find(a), self.find(b)
@@ -229,7 +233,7 @@ class CongruenceSession:
         self._parent[rb] = ra
         small_members = self._members[rb]
         self._members[ra].extend(small_members)
-        self._members[rb] = []
+        self._members[rb] = ()
         self.merges += 1
 
         term_a = self.builder.terms[a]
@@ -243,7 +247,7 @@ class CongruenceSession:
 
         # only parents of the absorbed class change signature
         moved = self._class_parents[rb]
-        self._class_parents[rb] = []
+        self._class_parents[rb] = ()
         for p in moved:
             node = self.builder.terms[p]
             sig = self._signature(node)
@@ -304,10 +308,13 @@ class CongruenceSession:
         if a is b:
             return []
 
+        parent, why = self._pf_parent, self._pf_reason
+
         def path_to_root(n: int) -> list[int]:
             out = [n]
-            while out[-1] in self._pf_parent:
-                out.append(self._pf_parent[out[-1]])
+            while parent[n] != -1:
+                n = parent[n]
+                out.append(n)
             return out
 
         pa = path_to_root(a.nid)
@@ -316,10 +323,10 @@ class CongruenceSession:
         meet = next(n for n in pb if n in on_a)
         steps = []
         for n in pa[: on_a[meet]]:
-            steps.append((n, self._pf_parent[n], self._pf_reason[n]))
+            steps.append((n, parent[n], why[n]))
         tail = []
         for n in pb[: pb.index(meet)]:
-            tail.append((self._pf_parent[n], n, self._pf_reason[n]))
+            tail.append((parent[n], n, why[n]))
         steps.extend(reversed(tail))
         terms = self.builder.terms
         return [
@@ -343,6 +350,18 @@ class CongruenceSession:
             "processed": self.processed,
             "completed": self.completed,
         }
+
+    def merge_reasons(self) -> dict[str, int]:
+        """Proof-forest edges by reason: seed, congruence and faces.
+
+        Each merge adds one edge, so the counts sum to ``merges``.  They
+        stay out of stats(), which reports embed.
+        """
+        counts = {"seed": 0, "congruence": 0, "faces": 0}
+        for reason in self._pf_reason:
+            if reason is not None:
+                counts[reason[0]] += 1
+        return counts
 
 
 def _reason_text(reason: object) -> str:

@@ -122,6 +122,18 @@ class TermBuilder:
     cells are only constructible for pairs registered through
     admit_kappa_pair, which is how a congruence session certifies that
     the two sides project to the same cell of the quotient.
+
+    The intern table and the face cache are indexed by node id rather
+    than by term.  The intern table maps ``(tag, d, child nids...)`` to
+    a node, so its keys hold only ints and strings and the cyclic
+    collector stops tracking them; it accepts a hit only when the
+    node's children are the very arguments given.  The face cache is
+    one flat list with ``2 * dir_universe`` slots per node: node n's
+    face in direction d, side s or t, sits at
+    ``n * stride + 2 * (d - 1) + (side == "t")``, read only once the
+    arguments and the term's owner have been checked.  Either way a
+    term of another builder whose id collides with a node of this one
+    never hits, and misses check ownership (_own).
     """
 
     def __init__(self, presentation: CubicalSetPresentation, mode: str = "magma"):
@@ -131,10 +143,9 @@ class TermBuilder:
         self.config = presentation.config
         self.mode = mode
         self.terms: list[Term] = []
-        # keys hold child terms, which hash by identity, so a term of
-        # another builder never hits; misses check ownership (_own)
         self._intern: dict[tuple, Term] = {}
-        self._bcache: dict[tuple[Term, int, str], Term] = {}
+        self._stride = 2 * self.config.dir_universe
+        self._faces: list[Term | None] = []
         self._kappa_ok: set[tuple[Term, Term]] = set()
 
     def __len__(self) -> int:
@@ -152,6 +163,7 @@ class TermBuilder:
         node = Term(nid=len(self.terms), **fields)
         self.terms.append(node)
         self._intern[key] = node
+        self._faces.extend([None] * self._stride)
         return node
 
     # -- constructors --------------------------------------------------
@@ -177,9 +189,9 @@ class TermBuilder:
         )
 
     def refl(self, d: int, x: Term) -> Term:
-        key = ("r", d, x)
+        key = ("r", d, x.nid)
         found = self._intern.get(key)
-        if found is not None:
+        if found is not None and found.args[0] is x:
             return found
         self._own(x)
         if d in x.dirs:
@@ -202,9 +214,9 @@ class TermBuilder:
         )
 
     def dual(self, d: int, x: Term) -> Term:
-        key = ("d", d, x)
+        key = ("d", d, x.nid)
         found = self._intern.get(key)
-        if found is not None:
+        if found is not None and found.args[0] is x:
             return found
         self._own(x)
         if d not in x.dirs:
@@ -223,9 +235,9 @@ class TermBuilder:
         )
 
     def comp(self, d: int, x: Term, y: Term) -> Term:
-        key = ("c", d, x, y)
+        key = ("c", d, x.nid, y.nid)
         found = self._intern.get(key)
-        if found is not None:
+        if found is not None and found.args[0] is x and found.args[1] is y:
             return found
         self._own(x, y)
         if x.dirs != y.dirs:
@@ -253,9 +265,9 @@ class TermBuilder:
         )
 
     def kappa(self, d: int, x: Term, y: Term) -> Term:
-        key = ("k", d, x, y)
+        key = ("k", d, x.nid, y.nid)
         found = self._intern.get(key)
-        if found is not None:
+        if found is not None and found.args[0] is x and found.args[1] is y:
             return found
         self._own(x, y)
         if self.mode != "contraction":
@@ -314,14 +326,17 @@ class TermBuilder:
 
     def boundary(self, t: Term, d: int, side: str) -> Term:
         """The source ("s") or target ("t") face of t in direction d."""
-        key = (t, d, side)
-        cached = self._bcache.get(key)
-        if cached is not None:
-            return cached
-        self._own(t)
-        if side not in ("s", "t"):
-            raise TermError(f"boundary side must be 's' or 't', got {side!r}")
-        if d not in t.dirs:
+        terms = self.terms
+        nid = t.nid
+        if (side == "s" or side == "t") and d in t.dirs and nid < len(terms) and terms[nid] is t:
+            slot = nid * self._stride + 2 * d - 2 + (side == "t")
+            cached = self._faces[slot]
+            if cached is not None:
+                return cached
+        else:
+            self._own(t)
+            if side not in ("s", "t"):
+                raise TermError(f"boundary side must be 's' or 't', got {side!r}")
             raise TermError(f"{t.text} has no direction {d}")
         if t.kind == GEN:
             res = self.gen(self.presentation.face(t.cell, d, side))
@@ -351,7 +366,7 @@ class TermBuilder:
                 )
         else:  # pragma: no cover
             raise TermError(f"unknown node kind {t.kind!r}")
-        self._bcache[key] = res
+        self._faces[slot] = res
         return res
 
     def iterated_faces(self, t: Term) -> set[Term]:

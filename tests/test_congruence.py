@@ -1,6 +1,8 @@
 """Congruence closure: saturation, verdicts, proofs, audits."""
 
+import gc
 import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -174,6 +176,7 @@ def test_class_counts_at_depth_three(saturated):
         "processed": 93570,
         "completed": True,
     }
+    assert saturated.merge_reasons() == {"seed": 47328, "congruence": 46242, "faces": 0}
 
 
 def test_representative_is_the_smallest_member(saturated):
@@ -202,6 +205,16 @@ def test_explain_produces_a_connected_chain(saturated):
     assert saturated.explain(f, f) == []
     with pytest.raises(TermError):
         saturated.explain(f, by_text(u, "gen(g)"))
+
+
+def test_traces_of_every_depth_three_instance_are_pinned(saturated):
+    # the proof forest's layout may change; the traces it yields may not
+    rels = instantiate_relations(saturated.universe)
+    assert len(rels) == 51196
+    h = hashlib.sha256()
+    for r in rels:
+        h.update(json.dumps(saturated.explain(r.left, r.right)).encode())
+    assert h.hexdigest() == "407c257a4c9537d75b021d70310946b148174a0f53481593896eb373fd8d08e5"
 
 
 def test_decide_equal_three_verdicts(saturated, quiver):
@@ -298,6 +311,19 @@ def test_manual_merges_propagate_to_faces(quiver):
     assert session.same(by_text(u, "gen(a)"), by_text(u, "gen(b)"))
     assert session.same(by_text(u, "gen(b)"), by_text(u, "gen(c)"))
     assert audit_congruence(session).ok
+    reasons = session.merge_reasons()
+    assert reasons["faces"] > 0
+    assert sum(reasons.values()) == session.merges
+
+
+def test_intern_keys_hold_no_terms(quiver):
+    # keys of ints and strings are untracked by the cyclic collector
+    u = enumerate_free_magma(quiver, 2)
+    CongruenceSession(u).seed(instantiate_relations(u)).saturate()
+    gc.collect()
+    keys = u.builder._intern
+    assert len(keys) == len(u.builder)
+    assert not any(gc.is_tracked(key) for key in keys)
 
 
 def test_signature_merging_is_congruent(quiver):

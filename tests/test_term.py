@@ -158,6 +158,10 @@ def test_constructors_reject_terms_of_other_builders(quiver):
     b1 = TermBuilder(quiver, mode="contraction")
     f1 = b1.gen(quiver.cell(1, (1,), "f"))
     df1 = b1.dual(1, f1)
+    # fill the slots that g2's nid would land on
+    b1.refl(2, f1)
+    b1.boundary(f1, 1, "s")
+    b1.boundary(f1, 1, "t")
     b2 = TermBuilder(quiver)
     g2 = b2.gen(quiver.cell(1, (1,), "g"))
     # the two arenas number their nodes independently, so nids collide
@@ -170,6 +174,7 @@ def test_constructors_reject_terms_of_other_builders(quiver):
         lambda: b1.comp(1, f1, g2),
         lambda: b1.kappa(2, f1, g2),
         lambda: b1.boundary(g2, 1, "s"),
+        lambda: b1.boundary(g2, 1, "t"),
         lambda: b1.admit_kappa_pair(f1, g2),
     ):
         with pytest.raises(TermError, match="another builder"):
@@ -177,6 +182,26 @@ def test_constructors_reject_terms_of_other_builders(quiver):
     assert len(b1) == before
     assert b1.dual(1, f1) is df1
     assert df1.text == "dual[1](gen(f))"
+
+
+def test_boundary_rejects_bad_arguments(builder):
+    g = gens(builder)
+    f = g["f"]
+    # with f's faces cached, a bad direction must not read a neighbour's slot
+    builder.boundary(f, 1, "s")
+    builder.boundary(f, 1, "t")
+    before = len(builder)
+    top = builder.config.dir_universe + 1
+    for t, d, side, text in (
+        (f, 1, "x", "side must be"),
+        (f, 0, "s", "no direction 0"),
+        (f, top, "t", f"no direction {top}"),
+        (f, 2, "s", "no direction 2"),
+        (g["a"], 1, "s", "no direction 1"),
+    ):
+        with pytest.raises(TermError, match=text):
+            builder.boundary(t, d, side)
+    assert len(builder) == before
 
 
 def test_size_cap_and_stage_dim_restrict_the_universe(quiver):
