@@ -23,7 +23,6 @@ from .contraction import (
     build_free_contraction,
     free_on_morphism,
     unit_eta,
-    universe_as_presentation,
     validate_contraction,
     validate_contraction_morphism,
 )
@@ -120,17 +119,6 @@ def criterion_product_models() -> dict:
     }
 
 
-def _bf_dirs(t, faces_of_gen):
-    kind = t[0]
-    if kind == "g":
-        return faces_of_gen(t[1])
-    if kind == "r":
-        return tuple(sorted(_bf_dirs(t[2], faces_of_gen) + (t[1],)))
-    if kind == "d":
-        return _bf_dirs(t[2], faces_of_gen)
-    return _bf_dirs(t[2], faces_of_gen)
-
-
 def brute_force_level_counts(p, depth: int) -> dict[str, int]:
     """Reference enumeration by plain tuple recursion.
 
@@ -139,7 +127,7 @@ def brute_force_level_counts(p, depth: int) -> dict[str, int]:
     on every call, and candidates are generated by trying every
     operation on every pair of smaller terms.
     """
-    from .presentation import dirs_with, dirs_without, format_level
+    from .presentation import dirs_with, format_level
 
     cfg = p.config
     gen_level = {}

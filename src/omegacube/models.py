@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .congruence import CongruenceSession, instantiate_relations
-from .presentation import (
-    CellRef,
-    CubicalSetPresentation,
-    PresentationError,
-    SetMorphism,
-    TruncationConfig,
-)
+from .presentation import CubicalSetPresentation, SetMorphism, TruncationConfig
 from .strict import GeneratorAssignment, Evaluator, StrictCategoryTable
 from .term import (
     COMP,
@@ -39,7 +33,6 @@ from .term import (
     Term,
     TermBuilder,
     TermError,
-    TermUniverse,
     enumerate_free_magma,
 )
 
@@ -733,7 +726,7 @@ def oracle_compare(
 # -- randomized assignments and morphisms -----------------------------
 
 
-def _random_cell_maps(p: CubicalSetPresentation, target, face_of, rng, tries: int = 200):
+def _random_cell_maps(p: CubicalSetPresentation, target, rng, tries: int = 200):
     """Shared draw logic: images for 0-cells, then compatible 1-cells."""
     zero_level = (0, ())
     one_levels = [lv for lv in p.cells if lv[0] == 1]
@@ -747,7 +740,7 @@ def _random_cell_maps(p: CubicalSetPresentation, target, face_of, rng, tries: in
         d = lv[1][0]
         idx: dict[tuple[str, str], list[str]] = {}
         for c in target.cells.get(lv, []):
-            key = (face_of(c, d, "s").name, face_of(c, d, "t").name)
+            key = (target.face(c, d, "s").name, target.face(c, d, "t").name)
             idx.setdefault(key, []).append(c.name)
         for v in idx.values():
             v.sort()
@@ -779,7 +772,7 @@ def random_assignment(
 ) -> GeneratorAssignment:
     """A random face-compatible generator assignment into a strict table."""
     q = table.underlying
-    maps = _random_cell_maps(p, q, q.face, rng)
+    maps = _random_cell_maps(p, q, rng)
     return GeneratorAssignment(p, table, maps, name=name or "random-assignment")
 
 
@@ -787,5 +780,5 @@ def random_set_morphism(
     p: CubicalSetPresentation, q: CubicalSetPresentation, rng, name: str = ""
 ) -> SetMorphism:
     """A random face-compatible morphism between presentations."""
-    maps = _random_cell_maps(p, q, q.face, rng)
+    maps = _random_cell_maps(p, q, rng)
     return SetMorphism(p, q, maps, name=name or "random-morphism")

@@ -410,29 +410,40 @@ def validate_cubical_axioms(p: CubicalSetPresentation) -> ValidationReport:
     check and pass vacuously.
     """
     report = ValidationReport(subject=f"cubical-axioms({p.name or 'presentation'})")
-    for (dim, dirs), refs in sorted(p.cells.items()):
-        if dim < 2:
-            continue
-        for cell in refs:
-            for i, d in enumerate(dirs):
-                for e in dirs[i + 1 :]:
-                    for sd in SIDES:
-                        for se in SIDES:
-                            report.checked += 1
-                            try:
-                                via_d = p.face(p.face(cell, d, sd), e, se)
-                                via_e = p.face(p.face(cell, e, se), d, sd)
-                            except PresentationError as exc:
-                                report.add("face-access", (dim, dirs), str(exc))
-                                continue
-                            if via_d != via_e:
-                                report.add(
-                                    f"faces-commute-{sd}{se}",
-                                    (dim, dirs),
-                                    f"cell {cell.name!r}: {se}-face({e}) of {sd}-face({d}) is "
-                                    f"{via_d.name!r} but {sd}-face({d}) of {se}-face({e}) is {via_e.name!r}",
-                                )
+    for level, refs in sorted(p.cells.items()):
+        faces_commute(report, level, refs, p.face, lambda c: repr(c.name))
     return report
+
+
+def faces_commute(report: ValidationReport, level: LevelKey, elems, face, name) -> None:
+    """Check the cubical identities on the elements of one level.
+
+    face(x, d, side) is the face map of the structure and name(x)
+    renders an element in a violation.  Every pair of distinct
+    directions and every choice of sides is one check: the two orders
+    of taking the faces must agree.
+    """
+    dirs = level[1]
+    for x in elems:
+        for i, d in enumerate(dirs):
+            for e in dirs[i + 1 :]:
+                for sd in SIDES:
+                    for se in SIDES:
+                        report.checked += 1
+                        try:
+                            via_d = face(face(x, d, sd), e, se)
+                            via_e = face(face(x, e, se), d, sd)
+                        except PresentationError as exc:
+                            report.add("face-access", level, str(exc))
+                            continue
+                        if via_d != via_e:
+                            report.add(
+                                f"faces-commute-{sd}{se}",
+                                level,
+                                f"{name(x)}: {se}-face({e}) of {sd}-face({d}) is "
+                                f"{name(via_d)} but {sd}-face({d}) of {se}-face({e}) "
+                                f"is {name(via_e)}",
+                            )
 
 
 @dataclass

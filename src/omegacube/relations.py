@@ -1,4 +1,9 @@
-"""The relation schemes of strict involutive cubical structure, stated once.
+"""Face laws and relation schemes of strict involutive cubical structure, stated once.
+
+FACE_LAWS gives the faces of a reflector, a dual and a composite in
+terms of the faces of its operands.  TermBuilder.boundary computes the
+faces of free terms with them, and validate_strict checks every table
+entry against them.
 
 Each scheme builds its two sides with the operations of an algebra:
 ``refl(d, x)``, ``dual(d, x)`` and ``comp(d, x, y)``.  ground_level
@@ -14,9 +19,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .presentation import LevelKey, TruncationConfig
-from .term import Term
+
+if TYPE_CHECKING:
+    from .term import Term
+
+# Each law takes an algebra A, the operation's direction k, the face's
+# direction d and side, then the operands, and returns the face.  Keys
+# are the term kinds of the three operation families.
+FACE_LAWS = {
+    # id[k](x) has both k-faces x and reflects the faces of x elsewhere
+    "id": lambda A, k, d, side, x: x if d == k else A.refl(k, A.boundary(x, d, side)),
+    # dual[k](x) swaps the two k-faces of x and dualizes the others
+    "dual": lambda A, k, d, side, x: (
+        A.boundary(x, d, "t" if side == "s" else "s")
+        if d == k
+        else A.dual(k, A.boundary(x, d, side))
+    ),
+    # comp[k](x, y) keeps the k-source of y and the k-target of x, and
+    # composes facewise in the other directions
+    "comp": lambda A, k, d, side, x, y: (
+        A.boundary(y if side == "s" else x, d, side)
+        if d == k
+        else A.comp(k, A.boundary(x, d, side), A.boundary(y, d, side))
+    ),
+}
 
 # Each scheme takes an algebra A, the directions of a match, then its
 # operands, and returns (left side, right side).

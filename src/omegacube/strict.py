@@ -3,9 +3,11 @@
 A StrictCategoryTable extends a presentation with reflector, dual, and
 composition tables.  Compositions are partial: the table for a level
 and direction must be defined on exactly the boundary-compatible pairs
-of that level.  validate_strict checks totality, typing and the
-structural boundary laws, then the strict schemes of the relations
-module (associativity, units, functoriality of reflectors, exchange);
+of that level.  validate_strict checks totality and typing, then the
+faces of every table entry against relations.FACE_LAWS (the laws the
+free terms' boundaries are computed with), then the strict schemes of
+the relations module (associativity, units, functoriality of
+reflectors, exchange);
 validate_involutive checks its involutive schemes (the laws of duals).
 Both ground the schemes over the table's own cells and evaluate both
 sides in its tables, so a model is checked against the very schemes
@@ -33,13 +35,13 @@ from .presentation import (
     ValidationReport,
     dirs_with,
     format_level,
-    make_dirs,
     parse_level,
     validate_cubical_axioms,
     validate_morphism,
     validate_quiver,
 )
 from .relations import (
+    FACE_LAWS,
     INVOLUTIVE_SCHEMES,
     STRICT_SCHEMES,
     composable_pairs,
@@ -168,189 +170,112 @@ def validate_strict(c: StrictCategoryTable) -> ValidationReport:
         return report
 
     ops = _table_ops(c)
-    # reflector tables: total on the lower level, typed one level up
     for level in p.levels():
         dim, dirs = level
+        names = [cell.name for cell in p.cells[level]]
         for d in reflector_dirs(p.config, level):
-            up_level = (dim + 1, dirs_with(dirs, d))
-            table = c.refl.get((up_level[0], up_level[1], d), {})
-            up_names = {cell.name for cell in p.cells.get(up_level, [])}
-            for cell in p.cells[level]:
-                report.checked += 1
-                if cell.name not in table:
-                    report.add(
-                        "refl-total",
-                        level,
-                        f"no reflector entry for {cell.name!r} in direction {d}",
-                    )
-                elif table[cell.name] not in up_names:
-                    report.add(
-                        "refl-typing",
-                        level,
-                        f"reflector of {cell.name!r} names {table[cell.name]!r}, "
-                        f"absent at level {format_level(up_level)}",
-                    )
-            for extra in sorted(set(table) - {cell.name for cell in p.cells[level]}):
-                report.add(
-                    "refl-unknown-cell",
-                    level,
-                    f"reflector table for direction {d} mentions unknown cell {extra!r}",
-                )
-
-    # dual tables: total within each level and direction
-    for level in p.levels():
-        dim, dirs = level
-        names = {cell.name for cell in p.cells[level]}
+            up = (dim + 1, dirs_with(dirs, d))
+            _check_table(report, "refl", level, d, c.refl.get((*up, d), {}), names, p, up)
         for d in dirs:
-            table = c.dual.get((dim, dirs, d), {})
-            for cell in p.cells[level]:
-                report.checked += 1
-                if cell.name not in table:
-                    report.add(
-                        "dual-total", level, f"no dual entry for {cell.name!r} in direction {d}"
-                    )
-                elif table[cell.name] not in names:
-                    report.add(
-                        "dual-typing",
-                        level,
-                        f"dual of {cell.name!r} names {table[cell.name]!r}, absent at this level",
-                    )
-            for extra in sorted(set(table) - names):
-                report.add(
-                    "dual-unknown-cell",
-                    level,
-                    f"dual table for direction {d} mentions unknown cell {extra!r}",
-                )
-
-    # comp tables: defined on exactly the boundary-compatible pairs
-    for level in p.levels():
-        dim, dirs = level
-        names = {cell.name for cell in p.cells[level]}
-        for d in dirs:
-            table = c.comp.get((dim, dirs, d), {})
-            compatible = set()
-            for x, y in composable_pairs(ops, p.cells[level], d):
-                compatible.add((x.name, y.name))
-                report.checked += 1
-                if (x.name, y.name) not in table:
-                    report.add(
-                        "comp-total",
-                        level,
-                        f"no composite for the compatible pair ({x.name!r}, {y.name!r}) "
-                        f"in direction {d}",
-                    )
-                elif table[(x.name, y.name)] not in names:
-                    report.add(
-                        "comp-typing",
-                        level,
-                        f"composite of ({x.name!r}, {y.name!r}) names "
-                        f"{table[(x.name, y.name)]!r}, absent at this level",
-                    )
-            for pair in sorted(set(table) - compatible):
-                report.add(
-                    "comp-domain",
-                    level,
-                    f"composition table for direction {d} is defined on the "
-                    f"non-composable pair {pair!r}",
-                )
+            key = (dim, dirs, d)
+            pairs = [(x.name, y.name) for x, y in composable_pairs(ops, p.cells[level], d)]
+            _check_table(report, "dual", level, d, c.dual.get(key, {}), names, p, level)
+            _check_table(report, "comp", level, d, c.comp.get(key, {}), pairs, p, level)
     if not report.ok:
         return report
 
-    # boundary laws for the three operation families
-    for level in p.levels():
-        dim, dirs = level
-        for cell in p.cells[level]:
-            for d in reflector_dirs(p.config, level):
-                if (dim + 1, dirs_with(dirs, d)) not in p.cells:
-                    continue
-                r = c.refl_of(cell, d)
-                for side in ("s", "t"):
-                    report.checked += 1
-                    got = p.face(r, d, side)
-                    if got != cell:
-                        report.add(
-                            "refl-degenerate",
-                            level,
-                            f"{side}-face({d}) of reflector of {cell.name!r} is "
-                            f"{got.name!r}, expected {cell.name!r}",
-                        )
-                for e in dirs:
-                    for side in ("s", "t"):
-                        report.checked += 1
-                        got = p.face(r, e, side)
-                        want = c.refl_of(p.face(cell, e, side), d)
-                        if got != want:
-                            report.add(
-                                "refl-transverse",
-                                level,
-                                f"{side}-face({e}) of reflector({d}) of {cell.name!r} is "
-                                f"{got.name!r}, expected {want.name!r}",
-                            )
-            for d in dirs:
-                dl = c.dual_of(cell, d)
-                report.checked += 2
-                if p.face(dl, d, "s") != p.face(cell, d, "t"):
+    # every face of every table entry against relations.FACE_LAWS
+    for kind, level, k, operands in _applications(c, ops):
+        op = _OP_NAMES[kind]
+        z = getattr(ops, op)(k, *operands)
+        for e in z.dirs:
+            for side in ("s", "t"):
+                report.checked += 1
+                got = p.face(z, e, side)
+                want = FACE_LAWS[kind](ops, k, e, side, *operands)
+                if got != want:
+                    tag = _AXIS_TAGS[kind, side] if e == k else f"{op}-transverse"
+                    cells = ", ".join(repr(x.name) for x in operands)
                     report.add(
-                        "dual-swap",
+                        tag,
                         level,
-                        f"source({d}) of dual of {cell.name!r} is not target({d}) of {cell.name!r}",
+                        f"{side}-face({e}) of {op}[{k}]({cells}) is {got.name!r}, "
+                        f"expected {want.name!r}",
                     )
-                if p.face(dl, d, "t") != p.face(cell, d, "s"):
-                    report.add(
-                        "dual-swap",
-                        level,
-                        f"target({d}) of dual of {cell.name!r} is not source({d}) of {cell.name!r}",
-                    )
-                for e in dirs:
-                    if e == d:
-                        continue
-                    for side in ("s", "t"):
-                        report.checked += 1
-                        got = p.face(dl, e, side)
-                        want = c.dual_of(p.face(cell, e, side), d)
-                        if got != want:
-                            report.add(
-                                "dual-transverse",
-                                level,
-                                f"{side}-face({e}) of dual({d}) of {cell.name!r} is "
-                                f"{got.name!r}, expected {want.name!r}",
-                            )
-        for d in dirs:
-            for x, y in composable_pairs(ops, p.cells[level], d):
-                z = c.comp_of(d, x, y)
-                report.checked += 2
-                if p.face(z, d, "s") != p.face(y, d, "s"):
-                    report.add(
-                        "comp-source",
-                        level,
-                        f"source({d}) of {x.name!r}*{y.name!r} differs from source({d}) "
-                        f"of {y.name!r}",
-                    )
-                if p.face(z, d, "t") != p.face(x, d, "t"):
-                    report.add(
-                        "comp-target",
-                        level,
-                        f"target({d}) of {x.name!r}*{y.name!r} differs from target({d}) "
-                        f"of {x.name!r}",
-                    )
-                for e in dirs:
-                    if e == d:
-                        continue
-                    for side in ("s", "t"):
-                        report.checked += 1
-                        got = p.face(z, e, side)
-                        want = c.comp_of(d, p.face(x, e, side), p.face(y, e, side))
-                        if got != want:
-                            report.add(
-                                "comp-transverse",
-                                level,
-                                f"{side}-face({e}) of {x.name!r}*{y.name!r} in direction {d} "
-                                f"is {got.name!r}, expected {want.name!r}",
-                            )
     if not report.ok:
         # with boundary laws broken, nested composites below may be undefined
         return report
     return _check_schemes(c, report, STRICT_SCHEMES)
+
+
+_OP_NAMES = {REFL: "refl", DUAL: "dual", COMP: "comp"}
+# the tag of a face law violated in the operation's own direction
+_AXIS_TAGS = {
+    (REFL, "s"): "refl-degenerate",
+    (REFL, "t"): "refl-degenerate",
+    (DUAL, "s"): "dual-swap",
+    (DUAL, "t"): "dual-swap",
+    (COMP, "s"): "comp-source",
+    (COMP, "t"): "comp-target",
+}
+
+
+def _check_table(
+    report: ValidationReport,
+    op: str,
+    level: LevelKey,
+    d: int,
+    table: dict,
+    domain: list,
+    p: CubicalSetPresentation,
+    values_at: LevelKey,
+) -> None:
+    """Check that an operation table is total on its domain and typed.
+
+    domain lists the keys the table must define, and every value must
+    name a cell at level values_at.  Keys outside the domain are
+    reported as unknown cells, or as non-composable pairs for comp.
+    """
+    values = {cell.name for cell in p.cells.get(values_at, [])}
+    for key in domain:
+        report.checked += 1
+        if key not in table:
+            report.add(f"{op}-total", level, f"no {op} entry for {key!r} in direction {d}")
+        elif table[key] not in values:
+            report.add(
+                f"{op}-typing",
+                level,
+                f"{op} of {key!r} in direction {d} names {table[key]!r}, "
+                f"absent at level {format_level(values_at)}",
+            )
+    extra_tag = "comp-domain" if op == "comp" else f"{op}-unknown-cell"
+    for extra in sorted(set(table) - set(domain)):
+        report.add(extra_tag, level, f"{op} table for direction {d} is defined on {extra!r}")
+
+
+def _upper_dirs(p: CubicalSetPresentation, level: LevelKey) -> list[int]:
+    """Reflector directions of a level whose upper level has cells."""
+    dim, dirs = level
+    return [d for d in reflector_dirs(p.config, level) if (dim + 1, dirs_with(dirs, d)) in p.cells]
+
+
+def _applications(c: StrictCategoryTable, ops: SimpleNamespace):
+    """Yield (kind, level, direction, operands) for every table entry.
+
+    level is that of the operands; a reflector lands one level up.
+    """
+    p = c.underlying
+    for level in p.levels():
+        dirs = level[1]
+        upper = _upper_dirs(p, level)
+        for cell in p.cells[level]:
+            for k in upper:
+                yield REFL, level, k, (cell,)
+            for k in dirs:
+                yield DUAL, level, k, (cell,)
+        for k in dirs:
+            for pair in composable_pairs(ops, p.cells[level], k):
+                yield COMP, level, k, pair
 
 
 def validate_involutive(c: StrictCategoryTable) -> ValidationReport:
@@ -392,10 +317,7 @@ def _check_schemes(
     p = c.underlying
     ops = _table_ops(c)
     for level in p.levels():
-        dim, dirs = level
-        upper = [
-            d for d in reflector_dirs(p.config, level) if (dim + 1, dirs_with(dirs, d)) in p.cells
-        ]
+        upper = _upper_dirs(p, level)
         for family, ds, operands in ground_level(ops, level, p.cells[level], upper, schemes):
             report.checked += 1
             try:
@@ -525,10 +447,12 @@ def check_universal_factorization(
 ) -> ValidationReport:
     """Certify the homomorphic extension property of evaluation.
 
-    Checks, over every term of the universe: the extension agrees with
-    the assignment on generators and commutes with boundaries.  It
-    commutes with the three operation families by construction, since
-    Evaluator computes each image from its children's images; a second,
+    Checks, over every term of the universe, that the extension
+    commutes with boundaries.  It agrees with the assignment on
+    generators and commutes with the three operation families by
+    construction, since Evaluator maps a generator through
+    assignment.apply and computes every other image from its children's
+    images; a second,
     independently coded extension (tabular_extension) must agree node
     by node, which pins uniqueness on the enumerated fragment.
     """
@@ -541,9 +465,6 @@ def check_universal_factorization(
     b = universe.builder
     for t in universe.all_terms():
         img = ev.eval(t)
-        report.checked += 1
-        if t.kind == GEN and img != assignment.apply(t.cell):
-            report.add("agrees-on-generators", t.level, f"{t.text} maps to {img}")
         for d in t.dirs:
             for side in ("s", "t"):
                 report.checked += 1

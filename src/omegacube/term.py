@@ -8,18 +8,12 @@ certified parallel pairs; see the contraction module.
 
 A TermBuilder hash-conses every node, so structural equality is object
 identity and each node carries a stable arena id.  Boundaries are
-computed structurally and cached:
-
-  - a generator's faces come from the presentation tables;
-  - ``id[d](x)`` has both d-faces equal to x, and its transverse faces
-    are reflectors of the faces of x;
-  - ``dual[d](x)`` swaps the two d-faces of x and passes other
-    directions through;
-  - ``comp[d](x, y)`` keeps the d-source of y and the d-target of x,
-    and composes facewise in other directions;
-  - ``kappa[d](x, y)`` has d-source x, d-target y, and contracts
-    facewise in other directions, collapsing to a reflector whenever
-    the two faces coincide.
+computed structurally and cached.  A generator's faces come from the
+presentation tables, and those of ``id``, ``dual`` and ``comp`` nodes
+from relations.FACE_LAWS, which the strict model validators check
+tables against too.  ``kappa[d](x, y)`` exists only as a term: it has
+d-source x, d-target y, and contracts facewise in other directions,
+collapsing to a reflector whenever the two faces coincide.
 
 Composition ``comp[d](x, y)`` requires the d-source of x to coincide
 with the d-target of y on the nose; the mismatch error carries both
@@ -38,9 +32,10 @@ from .presentation import (
     LevelKey,
     ValidationReport,
     dirs_with,
-    dirs_without,
+    faces_commute,
     format_level,
 )
+from .relations import FACE_LAWS
 
 GEN = "gen"
 REFL = "id"
@@ -109,10 +104,6 @@ class Term:
 
     def __repr__(self) -> str:
         return f"<{self.text}>"
-
-
-def _other(side: str) -> str:
-    return "t" if side == "s" else "s"
 
 
 class TermBuilder:
@@ -340,23 +331,6 @@ class TermBuilder:
             raise TermError(f"{t.text} has no direction {d}")
         if t.kind == GEN:
             res = self.gen(self.presentation.face(t.cell, d, side))
-        elif t.kind == REFL:
-            if d == t.d:
-                res = t.body
-            else:
-                res = self.refl(t.d, self.boundary(t.body, d, side))
-        elif t.kind == DUAL:
-            if d == t.d:
-                res = self.boundary(t.body, d, _other(side))
-            else:
-                res = self.dual(t.d, self.boundary(t.body, d, side))
-        elif t.kind == COMP:
-            if d == t.d:
-                res = self.boundary(t.right if side == "s" else t.left, d, side)
-            else:
-                res = self.comp(
-                    t.d, self.boundary(t.left, d, side), self.boundary(t.right, d, side)
-                )
         elif t.kind == KAPPA:
             if d == t.d:
                 res = t.left if side == "s" else t.right
@@ -364,8 +338,8 @@ class TermBuilder:
                 res = self.kappa(
                     t.d, self.boundary(t.left, d, side), self.boundary(t.right, d, side)
                 )
-        else:  # pragma: no cover
-            raise TermError(f"unknown node kind {t.kind!r}")
+        else:
+            res = FACE_LAWS[t.kind](self, t.d, d, side, *t.args)
         self._faces[slot] = res
         return res
 
@@ -576,25 +550,9 @@ def enumerate_free_magma(
 
 def check_cubical_on_terms(u: TermUniverse) -> ValidationReport:
     """Verify facewise commutation on every enumerated term of dim >= 2."""
-    b = u.builder
     report = ValidationReport(subject="cubical-axioms(free terms)")
-    for t in u.all_terms():
-        if t.dim < 2:
-            continue
-        for i, d in enumerate(t.dirs):
-            for e in t.dirs[i + 1 :]:
-                for sd in ("s", "t"):
-                    for se in ("s", "t"):
-                        report.checked += 1
-                        via_d = b.boundary(b.boundary(t, d, sd), e, se)
-                        via_e = b.boundary(b.boundary(t, e, se), d, sd)
-                        if via_d is not via_e:
-                            report.add(
-                                f"faces-commute-{sd}{se}",
-                                t.level,
-                                f"{t.text}: got {via_d.text} vs {via_e.text} "
-                                f"for directions ({d},{e})",
-                            )
+    for level in sorted(u.levels):
+        faces_commute(report, level, u.levels[level], u.builder.boundary, lambda t: t.text)
     return report
 
 

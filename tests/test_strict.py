@@ -20,10 +20,12 @@ from omegacube import (
     pair_groupoid,
     tabular_extension,
     two_generator_quiver,
+    validate_cubical_axioms,
     validate_involutive,
     validate_strict,
     walking_isomorphism,
 )
+from omegacube.relations import FACE_LAWS
 
 CFG1 = TruncationConfig(max_dim=1, dir_universe=1, term_depth=3)
 
@@ -110,6 +112,96 @@ def test_wrong_square_composite_breaks_transverse_laws():
     }
 
 
+ISO_ARROWS, ISO_SQUARES = (1, (1,), 1), (2, (1, 2), 1)
+
+
+@pytest.mark.parametrize(
+    "plant, tags",
+    [
+        (lambda c: c.refl[ISO_ARROWS].pop("a|a"), {"refl-total": 1}),
+        (lambda c: c.refl[ISO_ARROWS].update({"a|a": "zz"}), {"refl-typing": 1}),
+        (lambda c: c.refl[ISO_ARROWS].update({"ghost": "ia|a"}), {"refl-unknown-cell": 1}),
+        (lambda c: c.dual[ISO_ARROWS].pop("u|a"), {"dual-total": 1}),
+        (lambda c: c.dual[ISO_ARROWS].update({"u|a": "zz"}), {"dual-typing": 1}),
+        (lambda c: c.dual[ISO_ARROWS].update({"ghost": "u|a"}), {"dual-unknown-cell": 1}),
+        (lambda c: c.comp[ISO_ARROWS].pop(("u|a", "v|a")), {"comp-total": 1}),
+        (lambda c: c.comp[ISO_ARROWS].update({("u|a", "v|a"): "zz"}), {"comp-typing": 1}),
+        (lambda c: c.comp[ISO_ARROWS].update({("u|a", "u|a"): "u|a"}), {"comp-domain": 1}),
+        (
+            lambda c: c.refl[ISO_ARROWS].update({"a|a": "ib|a"}),
+            {"refl-degenerate": 2, "refl-transverse": 4},
+        ),
+        (
+            lambda c: c.refl[(2, (1, 2), 2)].update({"u|a": "u|ib"}),
+            {"refl-degenerate": 2, "refl-transverse": 2},
+        ),
+        (
+            lambda c: c.dual[ISO_ARROWS].update({"u|a": "u|a"}),
+            {"dual-swap": 2, "dual-transverse": 4},
+        ),
+        (
+            lambda c: c.dual[ISO_SQUARES].update({"u|v": "v|u"}),
+            {"dual-swap": 2, "dual-transverse": 2},
+        ),
+        (
+            lambda c: c.comp[ISO_ARROWS].update({("u|a", "v|a"): "u|a"}),
+            {"comp-source": 1, "comp-transverse": 4},
+        ),
+        (
+            lambda c: c.comp[ISO_ARROWS].update({("u|a", "v|a"): "v|a"}),
+            {"comp-target": 1, "comp-transverse": 4},
+        ),
+        (
+            lambda c: c.comp[ISO_SQUARES].update({("u|ia", "v|ia"): "ib|ib"}),
+            {"comp-source": 1, "comp-target": 1, "comp-transverse": 2},
+        ),
+    ],
+    ids=[
+        "refl-total",
+        "refl-typing",
+        "refl-unknown-cell",
+        "dual-total",
+        "dual-typing",
+        "dual-unknown-cell",
+        "comp-total",
+        "comp-typing",
+        "comp-domain",
+        "refl-degenerate",
+        "refl-transverse",
+        "dual-swap",
+        "dual-transverse",
+        "comp-source",
+        "comp-target",
+        "comp-transverse",
+    ],
+)
+def test_planted_structural_faults_carry_their_tags(request, plant, tags):
+    cfg = TruncationConfig(max_dim=2, dir_universe=2, term_depth=1)
+    c = build_product([walking_isomorphism(), walking_isomorphism()], cfg)
+    plant(c)
+    report = validate_strict(c)
+    assert request.node.callspec.id in tags
+    assert Counter(v.tag for v in report.violations) == tags
+    # table faults stop before the face laws, face-law faults before the schemes
+    assert report.checked == (328 if len(tags) == 1 else 888)
+
+
+def test_face_laws_are_read_by_the_builder_and_the_validator(monkeypatch, quiver, iso_square):
+    real = FACE_LAWS["dual"]
+
+    def unswapped(A, k, d, side, x):
+        # a dual that keeps the faces of x in its own direction
+        return A.boundary(x, d, side) if d == k else real(A, k, d, side, x)
+
+    monkeypatch.setitem(FACE_LAWS, "dual", unswapped)
+    b = TermBuilder(quiver)
+    f = b.gen(quiver.cell(1, (1,), "f"))
+    assert b.boundary(b.dual(1, f), 1, "s") is b.boundary(f, 1, "s")
+    report = validate_strict(iso_square)
+    # every dual with distinct faces in its direction now breaks the law
+    assert Counter(v.tag for v in report.violations) == {"dual-swap": 48}
+
+
 def test_self_inverse_dual_breaks_antihomomorphism():
     c = iso_table()
     c.dual[(1, (1,), 1)]["u"] = "u"
@@ -120,32 +212,36 @@ def test_self_inverse_dual_breaks_antihomomorphism():
 
 
 @pytest.mark.parametrize(
-    "factors, max_dim, strict_checked, involutive_checked",
+    "factors, max_dim, strict_checked, involutive_checked, cubical_checked",
     [
-        ((walking_isomorphism, lambda: pair_groupoid(3)), 2, 3510, 648),
+        ((walking_isomorphism, lambda: pair_groupoid(3)), 2, 3510, 648, 144),
         (
             (walking_isomorphism, lambda: pair_groupoid(3), lambda: cyclic_group_category(2)),
             3,
             19536,
             3762,
+            1248,
         ),
         (
             (lambda: pair_groupoid(4), lambda: pair_groupoid(3), lambda: cyclic_group_category(3)),
             3,
             143952,
             24300,
+            6768,
         ),
     ],
     ids=["72-cells", "216-cells", "960-cells"],
 )
 def test_validator_check_counts_on_product_tables(
-    factors, max_dim, strict_checked, involutive_checked
+    factors, max_dim, strict_checked, involutive_checked, cubical_checked
 ):
     cfg = TruncationConfig(max_dim=max_dim, dir_universe=max_dim, term_depth=1)
     c = build_product([make() for make in factors], cfg)
     strict, involutive = validate_strict(c), validate_involutive(c)
-    assert strict.ok and involutive.ok
+    cubical = validate_cubical_axioms(c.underlying)
+    assert strict.ok and involutive.ok and cubical.ok
     assert (strict.checked, involutive.checked) == (strict_checked, involutive_checked)
+    assert cubical.checked == cubical_checked
 
 
 ARROWS = (1, (1,), 1)
