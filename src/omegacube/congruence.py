@@ -7,11 +7,13 @@ cell with the reflector of its source.
 
 instantiate_relations grounds every scheme over a finite term universe.
 CongruenceSession saturates the resulting pair set with a union-find
-plus signature-table closure.  Beyond the usual operation compatibility
-the closure also propagates merges to boundaries, because a congruence
-here is required to be closed under faces as well; both closures only
-ever create terms whose operation count is bounded by the terms already
-present, so saturation reaches a fixpoint whenever the budget allows.
+plus signature-table closure.  A congruence here must be closed under
+faces as well, so whenever the merge queue drains, one face pass over
+the pairs merged since the last pass queues the faces that still
+differ, and saturation goes on until a pass queues nothing (egg's
+deferred rebuild, applied to faces).  Neither closure creates a term
+whose operation count exceeds those already present, so saturation
+reaches a fixpoint whenever the budget allows.
 
 Verdicts are three-valued.  Equal comes with a merge trace, NotEqual
 requires a separating evaluation into a concrete strict model, and
@@ -100,37 +102,46 @@ class CongruenceSession:
     The session tracks every node the builder has ever interned, so
     relation sides and boundary terms created on the fly participate in
     the closure automatically; saturation takes new nodes in only when
-    the arena has grown.  Saturation processes a work queue of merges;
-    each merge propagates along three channels: signature collisions
-    (operation compatibility), boundary pairs (face closure), and the
-    proof forest used to reconstruct merge traces.  Union is by
-    use-list size: the class with more parent nodes absorbs the other,
-    so each merge re-signs the shorter use-list.  Proof-forest edges
-    join the merged pair itself, independent of the union direction.
-    A session may be seeded and saturated repeatedly; later seeds extend
-    the same closure.
+    the arena has grown.  Saturation processes a work queue of merges.
+    Each merge re-signs the parents of the absorbed class, queueing
+    signature collisions (operation compatibility), and adds an edge to
+    the proof forest used to reconstruct merge traces.  Face closure is
+    batched: each merged pair is recorded, and when the queue drains one
+    face pass compares the faces of every recorded pair and queues those
+    that differ.  The fixpoint is an empty queue after a pass; the
+    budget counts merges, not face comparisons.  Union is by use-list
+    size: the class with more parent nodes absorbs the other, so each
+    merge re-signs the shorter use-list.  Proof-forest edges join the
+    merged pair itself, independent of the union direction.  A session
+    may be seeded and saturated repeatedly; later seeds extend the same
+    closure.
     Contraction cells are treated as atoms: two kappa nodes are never
     merged by congruence on their arguments, only by seeded relations
     or faces, which matches their role as chosen fillers rather than
     operations.
 
-    Per-node state lives in flat lists indexed by node id: the
-    union-find parent, each root's members and use-list, and the proof
-    forest, whose parent list holds -1 at a root and whose reason list
-    holds the reason of each node's edge to its parent.  A class that
-    is absorbed gives up its members and use-list for a shared empty
-    tuple, which nothing appends to because only roots grow.
+    Per-node state lives in flat int lists indexed by node id: the
+    union-find parent; a successor ring, where each node points at the
+    next member of its class and a merge splices two rings by swapping
+    the successors of their roots; and the proof forest, whose parent
+    list holds -1 at a root and whose reason list holds the reason of
+    each node's edge to its parent.  Use-lists are allocated on demand:
+    a class with no parent nodes, or one that has been absorbed, holds
+    a shared empty tuple, which nothing appends to.  Each queue entry
+    carries the key it was queued under, so the pending-key set is
+    empty whenever the queue is.
     """
 
     def __init__(self, universe: TermUniverse):
         self.universe = universe
         self.builder = universe.builder
         self._parent: list[int] = []
-        self._members: list[list[int] | tuple] = []
+        self._next: list[int] = []
         self._class_parents: list[list[int] | tuple] = []
         self._sig: dict[tuple, int] = {}
-        self._pending: deque[tuple[int, int, object]] = deque()
+        self._pending: deque[tuple[int, int, object, tuple[int, int] | None]] = deque()
         self._pending_keys: set[tuple[int, int]] = set()
+        self._merged: list[int] = []
         self._pf_parent: list[int] = []
         self._pf_reason: list[object] = []
         self._ingested = 0
@@ -156,7 +167,7 @@ class CongruenceSession:
 
     def class_members(self, t: Term) -> list[Term]:
         self._require_known(t)
-        return [self.builder.terms[n] for n in self._members[self.find(t.nid)]]
+        return [self.builder.terms[n] for n in _ring(self._next, self.find(t.nid))]
 
     def classes(self, terms) -> list[list[Term]]:
         """Group terms by class, in the order of each group's first member."""
@@ -172,12 +183,21 @@ class CongruenceSession:
     # node intake -----------------------------------------------------
 
     def _signature(self, node: Term) -> tuple | None:
-        if node.kind in (GEN, KAPPA):
+        kind = node.kind
+        if kind == GEN or kind == KAPPA:
             return None
-        return (node.kind, node.d) + tuple(self.find(a.nid) for a in node.args)
+        args = node.args
+        if len(args) == 1:
+            return (kind, node.d, self.find(args[0].nid))
+        return (kind, node.d, self.find(args[0].nid), self.find(args[1].nid))
 
     def _enqueue(self, a: int, b: int, reason: object) -> None:
-        """Queue a merge, suppressing pairs already queued or already equal."""
+        """Queue a merge, suppressing pairs already queued or already equal.
+
+        The entry carries the key it was queued under, so that saturate
+        releases exactly that key when it pops the entry.
+        """
+        key = None
         if a < self._ingested and b < self._ingested:
             ra, rb = self.find(a), self.find(b)
             if ra == rb:
@@ -186,21 +206,26 @@ class CongruenceSession:
             if key in self._pending_keys:
                 return
             self._pending_keys.add(key)
-        self._pending.append((a, b, reason))
+        self._pending.append((a, b, reason, key))
 
     def _ingest_new_nodes(self) -> None:
         arena = self.builder.terms
+        uses = self._class_parents
         while self._ingested < len(arena):
             node = arena[self._ingested]
             nid = node.nid
             self._parent.append(nid)
-            self._members.append([nid])
-            self._class_parents.append([])
+            self._next.append(nid)
+            uses.append(())
             self._pf_parent.append(-1)
             self._pf_reason.append(None)
             self._ingested += 1
             for a in node.args:
-                self._class_parents[self.find(a.nid)].append(nid)
+                root = self.find(a.nid)
+                if uses[root]:
+                    uses[root].append(nid)
+                else:
+                    uses[root] = [nid]
             sig = self._signature(node)
             if sig is not None:
                 existing = self._sig.get(sig)
@@ -221,36 +246,29 @@ class CongruenceSession:
             parent[cur], why[cur] = prev, prev_reason
             prev, prev_reason, cur = cur, nxt_reason, nxt
 
-    def _merge(self, a: int, b: int, reason: object) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
+    def _merge(self, a: int, b: int, ra: int, rb: int, reason: object) -> None:
+        """Union the distinct classes ra and rb of a and b."""
         self._link_proof(a, b, reason)
+        uses = self._class_parents
         # the class with the longer use-list absorbs the other, so only
         # the shorter list is re-signed below
-        if len(self._class_parents[ra]) < len(self._class_parents[rb]):
+        if len(uses[ra]) < len(uses[rb]):
             ra, rb = rb, ra
         self._parent[rb] = ra
-        small_members = self._members[rb]
-        self._members[ra].extend(small_members)
-        self._members[rb] = ()
+        nxt = self._next
+        nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
         self.merges += 1
+        self._merged += (a, b)
 
-        term_a = self.builder.terms[a]
-        term_b = self.builder.terms[b]
-        for d in term_a.dirs:
-            for side in ("s", "t"):
-                fa = self.builder.boundary(term_a, d, side)
-                fb = self.builder.boundary(term_b, d, side)
-                if fa is not fb:
-                    self._enqueue(fa.nid, fb.nid, ("faces", a, b, d, side))
-
-        # only parents of the absorbed class change signature
-        moved = self._class_parents[rb]
-        self._class_parents[rb] = ()
+        # only parents of the absorbed class change signature; a non-empty
+        # moved list means the absorbing use-list is a list too
+        moved = uses[rb]
+        if not moved:
+            return
+        uses[rb] = ()
+        terms = self.builder.terms
         for p in moved:
-            node = self.builder.terms[p]
-            sig = self._signature(node)
+            sig = self._signature(terms[p])
             if sig is None:
                 continue
             existing = self._sig.get(sig)
@@ -258,46 +276,79 @@ class CongruenceSession:
                 self._sig[sig] = p
             else:
                 self._enqueue(existing, p, ("congruence",))
-        self._class_parents[ra].extend(moved)
+        uses[ra].extend(moved)
+
+    def _face_pass(self) -> None:
+        """Queue the differing faces of every pair merged since the last pass.
+
+        Each merged pair is compared once, direction by direction, so
+        the classes it joined end up closed under faces once the queue
+        drains again.
+        """
+        merged, self._merged = self._merged, []
+        terms = self.builder.terms
+        boundary = self.builder.boundary
+        for i in range(0, len(merged), 2):
+            a, b = merged[i], merged[i + 1]
+            term_a, term_b = terms[a], terms[b]
+            for d in term_a.dirs:
+                for side in ("s", "t"):
+                    fa = boundary(term_a, d, side)
+                    fb = boundary(term_b, d, side)
+                    if fa is not fb:
+                        self._enqueue(fa.nid, fb.nid, ("faces", a, b, d, side))
 
     # public API ------------------------------------------------------
 
     def seed(self, relations: list[RelationInstance]) -> "CongruenceSession":
         for idx, rel in enumerate(relations):
             self._pending.append(
-                (rel.left.nid, rel.right.nid, ("seed", rel.family, idx))
+                (rel.left.nid, rel.right.nid, ("seed", rel.family, idx), None)
             )
             self.seeded += 1
         self.completed = False
         return self
 
     def merge_terms(self, a: Term, b: Term, reason: str = "manual") -> None:
-        self._pending.append((a.nid, b.nid, ("seed", reason, -1)))
+        self._pending.append((a.nid, b.nid, ("seed", reason, -1), None))
         self.completed = False
 
     def saturate(self, budget: int | None = None) -> "CongruenceSession":
-        """Process pending merges until fixpoint or until the budget runs out."""
+        """Process pending merges until fixpoint or until the budget runs out.
+
+        The budget counts merges.  When the queue drains, one face pass
+        over the pairs merged since the last pass may queue more; the
+        fixpoint is reached when the queue is empty after a pass.
+        """
         if budget is None:
             budget = self.builder.config.saturation_budget
         arena = self.builder.terms
+        pending = self._pending
+        find = self.find
         spent = 0
         while True:
             if self._ingested < len(arena):
                 self._ingest_new_nodes()
-            if not self._pending:
+            if not pending:
+                if self._merged:
+                    # the pass may build faces the arena lacks; they are
+                    # ingested on the next turn
+                    self._face_pass()
+                    continue
                 self.completed = True
                 return self
             if spent >= budget:
                 self.completed = False
                 return self
-            a, b, reason = self._pending.popleft()
-            ra, rb = self.find(a), self.find(b)
-            self._pending_keys.discard((ra, rb) if ra < rb else (rb, ra))
+            a, b, reason, key = pending.popleft()
+            if key is not None:
+                self._pending_keys.discard(key)
+            ra, rb = find(a), find(b)
             if ra == rb:
                 continue
             spent += 1
             self.processed += 1
-            self._merge(a, b, reason)
+            self._merge(a, b, ra, rb, reason)
 
     # explanations ----------------------------------------------------
 
@@ -362,6 +413,16 @@ class CongruenceSession:
             if reason is not None:
                 counts[reason[0]] += 1
         return counts
+
+
+def _ring(nxt: list[int], root: int) -> list[int]:
+    """The node ids on root's successor ring, starting at root."""
+    out = [root]
+    n = nxt[root]
+    while n != root:
+        out.append(n)
+        n = nxt[n]
+    return out
 
 
 def _reason_text(reason: object) -> str:
@@ -443,25 +504,29 @@ def audit_congruence(session: CongruenceSession) -> ValidationReport:
     """
     report = ValidationReport(subject="congruence-closure")
     b = session.builder
+    find = session.find
     groups: dict[tuple, int] = {}
     for node in b.terms[: session._ingested]:
-        sig = session._signature(node)
-        if sig is None:
+        if node.kind in (GEN, KAPPA):
             continue
+        # rebuilt here, not read from the session, so the audit shares no
+        # code with the closure it re-checks
+        sig = (node.kind, node.d) + tuple(find(a.nid) for a in node.args)
         report.checked += 1
         first = groups.get(sig)
         if first is None:
             groups[sig] = node.nid
-        elif session.find(first) != session.find(node.nid):
+        elif find(first) != find(node.nid):
             report.add(
                 "op-compat",
                 node.level,
                 f"{b.terms[first].text} and {node.text} have equal signatures "
                 "but different classes",
             )
-    for root, members in enumerate(session._members):
-        if len(members) < 2:
+    for root in range(session._ingested):
+        if session._parent[root] != root or session._next[root] == root:
             continue
+        members = _ring(session._next, root)
         base = b.terms[members[0]]
         for other_nid in members[1:]:
             other = b.terms[other_nid]

@@ -101,15 +101,18 @@ class CellRef:
     dim: int
     dirs: Dirs
     name: str
-    # (dim, dirs), built once per cell rather than on every read; it is not
-    # compared, so equality and hashing stay on (dim, dirs, name)
+    # (dim, dirs) and the printed form, built once per cell rather than on
+    # every read; they are not compared, so equality and hashing stay on
+    # (dim, dirs, name)
     level: LevelKey = field(init=False, repr=False, compare=False)
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "level", (self.dim, self.dirs))
+        object.__setattr__(self, "text", f"{format_level(self.level)}:{self.name}")
 
     def __str__(self) -> str:
-        return f"{format_level(self.level)}:{self.name}"
+        return self.text
 
 
 @dataclass

@@ -67,7 +67,7 @@ class KappaError(TermError):
     """Contraction cell requested without a certified parallel pair."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Term:
     """One hash-consed node.  Compare with ``is``; nodes never mutate."""
 

@@ -278,7 +278,115 @@ def test_decide_equal_rejects_foreign_terms(saturated, quiver):
 def test_audit_confirms_the_fixpoint(saturated):
     report = audit_congruence(saturated)
     assert report.ok
-    assert report.checked > 0
+    assert report.checked == 342788
+
+
+def test_saturation_leaves_no_pending_keys(saturated):
+    # each queue entry releases the key it was queued under
+    assert saturated.completed
+    assert not saturated._pending
+    assert not saturated._pending_keys
+
+
+def test_class_members_walk_the_whole_class(saturated):
+    ingested = saturated.builder.terms[: saturated.stats()["nodes"]]
+    groups = {}
+    for t in ingested:
+        groups.setdefault(saturated.find(t.nid), set()).add(t.nid)
+    for root, nids in groups.items():
+        members = saturated.class_members(saturated.builder.terms[root])
+        assert len(members) == len(nids)
+        assert {m.nid for m in members} == nids
+
+
+def partition_digest(session, universe):
+    h = hashlib.sha256()
+    for group in session.classes(universe.all_terms()):
+        h.update((" ".join(t.text for t in group) + "\n").encode())
+    return h.hexdigest()
+
+
+# the depth-2 universe closed under only the instances whose sides are
+# squares: the arrow instances among their faces are left unseeded
+SQUARE_SEEDED = "6a14625b84f60ae006fa16893f9a3f57c6189dee586b44f50e765706d36c890f"
+
+
+@pytest.fixture()
+def square_seeds(quiver):
+    u = enumerate_free_magma(quiver, 2)
+    return u, [r for r in instantiate_relations(u) if r.left.dim == 2]
+
+
+def test_fixpoint_face_pass_finds_unseeded_face_merges(square_seeds):
+    u, rels = square_seeds
+    assert len(rels) == 1175
+    session = CongruenceSession(u).seed(rels).saturate()
+    assert session.completed
+    assert session.stats()["merges"] == 4399
+    assert session.merge_reasons()["faces"] > 0
+    assert len(session.classes(u.all_terms())) == 27
+    assert partition_digest(session, u) == SQUARE_SEEDED
+    report = audit_congruence(session)
+    assert report.ok and report.checked == 17144
+
+
+def test_budget_running_out_after_a_face_pass_is_reported(square_seeds):
+    u, rels = square_seeds
+    # 1,847 merges drain the seeded queue, and the face pass queues more
+    session = CongruenceSession(u).seed(rels).saturate(budget=1850)
+    assert not session.completed
+    assert session.merge_reasons()["faces"] > 0
+    verdict = decide_equal(session, by_text(u, "gen(f)"), by_text(u, "gen(g)"))
+    assert verdict.verdict == "unknown"
+    assert verdict.witness["cause"] == "budget"
+    session.saturate()
+    assert session.completed
+    assert partition_digest(session, u) == SQUARE_SEEDED
+
+
+def _split_out(session, t):
+    """Make t a class of its own, bypassing the closure."""
+    for n in range(session.stats()["nodes"]):
+        session.find(n)  # flatten, so no other node points through t
+    root = session.find(t.nid)
+    assert root != t.nid
+    prev = root
+    while session._next[prev] != t.nid:
+        prev = session._next[prev]
+    session._next[prev] = session._next[t.nid]
+    session._next[t.nid] = t.nid
+    session._parent[t.nid] = t.nid
+
+
+def _union(session, x, y):
+    """Join the classes of x and y, bypassing the closure and the face pass."""
+    rx, ry = session.find(x.nid), session.find(y.nid)
+    session._parent[ry] = rx
+    session._next[rx], session._next[ry] = session._next[ry], session._next[rx]
+
+
+def test_audit_reports_each_planted_fault_under_its_tag(quiver):
+    u = enumerate_free_magma(quiver, 2)
+    rels = instantiate_relations(u)
+    b = u.builder
+    f = by_text(u, "gen(f)")
+
+    split = CongruenceSession(u).seed(rels).saturate()
+    assert audit_congruence(split).ok
+    twice = b.refl(2, b.dual(1, b.dual(1, f)))
+    assert split.same(twice, b.refl(2, f))
+    _split_out(split, twice)
+    report = audit_congruence(split)
+    assert {v.tag for v in report.violations} == {"op-compat"}
+    assert twice.text in report.violations[0].detail
+
+    joined = CongruenceSession(u).seed(rels).saturate()
+    ida = b.refl(2, b.refl(1, by_text(u, "gen(a)")))
+    idb = b.refl(2, b.refl(1, by_text(u, "gen(b)")))
+    assert not joined.same(ida, idb)
+    _union(joined, ida, idb)
+    report = audit_congruence(joined)
+    assert {v.tag for v in report.violations} == {"face-closure"}
 
 
 def test_budget_exhaustion_reports_honestly(quiver):

@@ -36,6 +36,12 @@ def test_hash_consing_returns_identical_nodes(builder):
     assert builder.dual(1, t1) is builder.dual(1, t2)
 
 
+def test_terms_carry_no_instance_dict(builder):
+    # slots keep the per-node footprint of the arena fixed
+    t = builder.comp(1, gens(builder)["g"], gens(builder)["f"])
+    assert not hasattr(t, "__dict__")
+
+
 def test_levels_of_each_constructor(builder):
     g = gens(builder)
     assert g["a"].level == (0, ())
