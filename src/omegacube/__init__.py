@@ -51,6 +51,7 @@ from .models import (
     walking_arrow,
     walking_isomorphism,
     word_of_reduced,
+    word_oracle_sweep,
     word_separator,
 )
 from .presentation import (
@@ -71,7 +72,6 @@ from .strict import (
     GeneratorAssignment,
     StrictCategoryTable,
     check_universal_factorization,
-    eval_term,
     tabular_extension,
     validate_involutive,
     validate_strict,

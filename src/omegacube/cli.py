@@ -62,10 +62,10 @@ USER_ERRORS = (
 
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(text)
 
 
@@ -114,12 +114,8 @@ def cmd_validate(args) -> int:
             name=table.name,
         )
         kind = "strict-table"
-        reports = [
-            validate_quiver(table.underlying),
-            validate_cubical_axioms(table.underlying),
-            validate_strict(table),
-            validate_involutive(table),
-        ]
+        # validate_strict runs validate_quiver and validate_cubical_axioms too
+        reports = [validate_strict(table), validate_involutive(table)]
         config = table.underlying.config
     else:
         p = _load_presentation(args.path, args)
@@ -172,7 +168,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _assignment_by_name(
-    p: CubicalSetPresentation, table: StrictCategoryTable, name: str
+    p: CubicalSetPresentation, table: StrictCategoryTable
 ) -> GeneratorAssignment:
     """Match generators to same-named cells of a separator table."""
     maps: dict = {}
@@ -230,7 +226,7 @@ def cmd_decide(args) -> int:
         _require_valid_category(category, f"separator {sep_path}")
         direction = t1.dirs[0] if t1.dim == 1 else 1
         table = as_strict_table(category, direction=direction)
-        separators.append(_assignment_by_name(p, table, sep_path))
+        separators.append(_assignment_by_name(p, table))
 
     decision = decide_equal(session, t1, t2, separators)
     report = {
@@ -257,12 +253,7 @@ def cmd_product(args) -> int:
     max_dim = args.max_dim if args.max_dim is not None else min(2, len(factors))
     cfg = TruncationConfig(max_dim=max_dim, dir_universe=len(factors), term_depth=1)
     table = build_product(factors, cfg)
-    reports = [
-        validate_quiver(table.underlying),
-        validate_cubical_axioms(table.underlying),
-        validate_strict(table),
-        validate_involutive(table),
-    ]
+    reports = [validate_strict(table), validate_involutive(table)]
     violations = [v.to_dict() for r in reports for v in r.violations]
     ok = not violations
     _emit(table.to_dict(), args)
@@ -373,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, *, out=True):
-        if out:
-            sp.add_argument("--out", help="write the JSON report to this file")
+    def add_common(sp):
+        sp.add_argument("--out", help="write the JSON report to this file")
         sp.add_argument("--json", action="store_true", help="print the JSON report")
 
     sp = sub.add_parser("validate", help="check a presentation or strict table")

@@ -2,8 +2,8 @@
 
 The quotient that turns the free term algebra into a strict involutive
 structure is generated by the relation schemes of the relations module.
-Contraction universes add one more scheme identifying each contraction
-cell with the reflector of its source.
+A universe holding contraction cells adds one more scheme, identifying
+each contraction cell with the reflector of its source.
 
 instantiate_relations grounds every scheme over a finite term universe.
 CongruenceSession saturates the resulting pair set with a union-find
@@ -43,22 +43,19 @@ def instantiate_relations(
     *,
     families: set[str] | None = None,
     max_side_size: int | None = None,
-    include_contraction: bool | None = None,
 ) -> list[RelationInstance]:
     """Ground every relation scheme over the terms of a universe.
 
     families restricts to a subset of scheme tags (useful for planting
     omissions in tests); max_side_size skips instances either side of
     which would exceed the given node count, without building them.
-    Contraction projections are included exactly when the universe was
-    built in contraction mode, unless overridden.
+    Each contraction cell of the universe gets its projection instance;
+    such cells exist only where admit_kappa_pair certified the pair.
     """
     if families is not None:
         unknown = set(families) - set(FAMILIES)
         if unknown:
             raise ValueError(f"unknown relation families {sorted(unknown)}")
-    if include_contraction is None:
-        include_contraction = universe.builder.mode == "contraction"
     b = universe.builder
     wanted = set(FAMILIES if families is None else families)
     out: list[RelationInstance] = []
@@ -75,7 +72,7 @@ def instantiate_relations(
                 if max(scheme(NODE_COUNTS, *dirs, *sizes)) > max_side_size:
                     continue
             out.append(RelationInstance(family, *scheme(b, *dirs, *operands)))
-        if include_contraction and "contraction-projection" in wanted:
+        if "contraction-projection" in wanted:
             for t in terms:
                 if t.kind == KAPPA:
                     out.append(
@@ -309,8 +306,8 @@ class CongruenceSession:
         self.completed = False
         return self
 
-    def merge_terms(self, a: Term, b: Term, reason: str = "manual") -> None:
-        self._pending.append((a.nid, b.nid, ("seed", reason, -1), None))
+    def merge_terms(self, a: Term, b: Term) -> None:
+        self._pending.append((a.nid, b.nid, ("seed", "manual", -1), None))
         self.completed = False
 
     def saturate(self, budget: int | None = None) -> "CongruenceSession":

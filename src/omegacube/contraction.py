@@ -10,13 +10,13 @@ the nose, and the transverse faces of a contraction cell are the
 contractions of the face pairs.
 
 The build walks dimensions upward with one congruence session shared
-by every stage.  At stage n it enumerates the contraction-mode universe
-up to dimension n, seeds the session with the relation instances no
-earlier stage seeded, saturates, and then admits one contraction cell
-per direction and ordered identified pair at dimension n; the new cells
-are atoms of stage n+1.  Each stage's universe contains the previous
-one, so the shared closure equals a fresh closure of the stage's full
-instance set.  Identification is the session's verdict at the current
+by every stage.  At stage n it enumerates the universe up to dimension
+n, seeds the session with the relation instances no earlier stage
+seeded, saturates, and then certifies every identified pair at
+dimension n and admits one contraction cell per direction and ordered
+pair; the new cells are atoms of stage n+1.  Each stage's universe
+contains the previous one, so the shared closure equals a fresh
+closure of the stage's full instance set.  Identification is the session's verdict at the current
 stage, so pairs the budgeted closure cannot identify are simply not
 contracted (and can be logged against separating models).
 """
@@ -113,9 +113,6 @@ class ContractionData:
         """Fold nodes created after the build into the word problem."""
         self.session.saturate()
 
-    def pi_same(self, x: Term, y: Term) -> bool:
-        return self.session.same(x, y)
-
     def to_report_dict(self) -> dict:
         return {
             "universe": self.universe.counts(),
@@ -151,7 +148,7 @@ def build_free_contraction(
     pairs for the stage log: a pair no separator distinguishes is
     recorded as excluded-but-undecided rather than silently dropped.
     """
-    builder = TermBuilder(p, mode="contraction")
+    builder = TermBuilder(p)
     cfg = builder.config
     atoms: list[Term] = []
     kappa_table: dict[tuple[int, int, int], Term] = {}
@@ -259,8 +256,9 @@ def validate_contraction(cd: ContractionData) -> ValidationReport:
     pairs below the top dimension.  Faces: each filler runs from its
     source to its target.  Transverse faces: fillers restrict to
     fillers of face pairs.  Projection: each filler is identified with
-    the reflector of both endpoints.  Degeneracy: diagonal requests
-    collapse to reflectors and never appear in the table.
+    the reflector of both endpoints.  Degeneracy: no table entry fills
+    a diagonal pair (TermBuilder.kappa answers a diagonal request with
+    the reflector itself, so only the table can go wrong here).
     """
     report = ValidationReport(subject="contraction")
     b = cd.builder
@@ -338,24 +336,10 @@ def validate_contraction(cd: ContractionData) -> ValidationReport:
                     level,
                     f"{node.text} does not project onto the reflector of {endpoint.text}",
                 )
-
-    # degeneracy: diagonal requests collapse to reflectors
-    for level, terms in sorted(cd.universe.levels.items()):
-        upper = reflector_dirs(cfg, level)
-        for t in terms:
-            for d in upper:
-                report.checked += 1
-                diag = b.kappa(d, t, t)
-                if diag.kind != REFL or diag.body is not t:
-                    report.add(
-                        "kappa-degenerate",
-                        level,
-                        f"kappa[{d}]({t.text},{t.text}) is {diag.text}, not the reflector",
-                    )
     return report
 
 
-def universe_as_presentation(u: TermUniverse, name: str = "") -> CubicalSetPresentation:
+def universe_as_presentation(u: TermUniverse) -> CubicalSetPresentation:
     """View a boundary-closed universe as a presentation of its own.
 
     Cells are the terms, named by their printed form; face tables are
@@ -372,9 +356,7 @@ def universe_as_presentation(u: TermUniverse, name: str = "") -> CubicalSetPrese
                 faces[(dim, dirs, d, side)] = {
                     t.text: b.boundary(t, d, side).text for t in terms
                 }
-    return CubicalSetPresentation(
-        u.builder.config, cells, faces, name=name or "free-contraction-universe"
-    )
+    return CubicalSetPresentation(u.builder.config, cells, faces, name="free-contraction-universe")
 
 
 def unit_eta(cd: ContractionData) -> SetMorphism:

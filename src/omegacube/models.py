@@ -417,14 +417,14 @@ def normal_form_dim1(t: Term) -> Word1:
     raise TermError(f"{t.text}: no dimension-1 normal form for kind {t.kind!r}")
 
 
-def rewrite_normalize(builder: TermBuilder, t: Term, rng, max_steps: int = 10_000) -> Term:
+def rewrite_normalize(builder: TermBuilder, t: Term, rng) -> Term:
     """Normalize a dimension-<=1 term by randomly ordered rewriting.
 
     Applies one randomly chosen redex at a time: double-dual removal,
     dual pushed through compositions and reflectors, unit deletion, and
     right reassociation.  The system terminates and is confluent at
     dimension one, so the result is independent of rng; tests exploit
-    exactly that.
+    exactly that.  A run longer than 10,000 steps raises.
     """
     b = builder
 
@@ -476,7 +476,7 @@ def rewrite_normalize(builder: TermBuilder, t: Term, rng, max_steps: int = 10_00
         raise TermError(f"unknown rewrite rule {rule!r}")  # pragma: no cover
 
     current = t
-    for _ in range(max_steps):
+    for _ in range(10_000):
         found = redexes(current, ())
         if not found:
             return current
@@ -655,29 +655,34 @@ def oracle_compare(
     size_cap: int | None = 6,
     budget: int | None = None,
     max_side_size: int | None = None,
-    separator_len: int = 6,
     families: Iterable[str] | None = None,
-    direction: int = 1,
 ) -> OracleReport:
-    """Compare congruence verdicts with reduced words on every pair.
+    """Saturate the dimension-<=1 universe, then sweep it against words.
 
-    Enumerates the dimension-<=1 universe, saturates the full relation
-    set, then sweeps all unordered same-level pairs of objects and of
-    arrows in the chosen direction (the word model covers exactly that
-    fragment).  A contradiction is fatal either way round: identified
-    terms with different words, or separated terms with equal words.
-    Pairs with equal words that the closure failed to identify are
-    listed as incomplete; pairs the separator cannot tell apart count
-    as unknown.
+    The full relation set (or the given families) is grounded over the
+    universe and saturated; word_oracle_sweep then judges the closure.
     """
     universe = enumerate_free_magma(p, depth, size_cap=size_cap, max_stage_dim=1)
     relations = instantiate_relations(universe, families=families, max_side_size=max_side_size)
-    session = CongruenceSession(universe).seed(relations).saturate(budget)
-    assignment = word_separator(p, direction=direction, max_len=separator_len)
-    ev = Evaluator(assignment)
+    return word_oracle_sweep(CongruenceSession(universe).seed(relations).saturate(budget))
+
+
+def word_oracle_sweep(session: CongruenceSession) -> OracleReport:
+    """Compare congruence verdicts with reduced words on every pair.
+
+    Sweeps all unordered same-level pairs of objects and of direction-1
+    arrows of the session's universe (the word model covers exactly
+    that fragment).  A contradiction is fatal either way round:
+    identified terms with different words, or separated terms with
+    equal words.  Pairs with equal words that the closure failed to
+    identify are listed as incomplete; pairs the word separator cannot
+    tell apart count as unknown.
+    """
+    universe = session.universe
+    ev = Evaluator(word_separator(universe.presentation))
     report = OracleReport(universe_size=universe.size, session=session.stats())
     for level, terms in sorted(universe.levels.items()):
-        if level[1] not in ((), (direction,)):
+        if level[1] not in ((), (1,)):
             continue
         roots = [session.find(t.nid) for t in terms]
         images = [ev.eval(t) for t in terms]
@@ -726,7 +731,7 @@ def oracle_compare(
 # -- randomized assignments and morphisms -----------------------------
 
 
-def _random_cell_maps(p: CubicalSetPresentation, target, rng, tries: int = 200):
+def _random_cell_maps(p: CubicalSetPresentation, target, rng):
     """Shared draw logic: images for 0-cells, then compatible 1-cells."""
     zero_level = (0, ())
     one_levels = [lv for lv in p.cells if lv[0] == 1]
@@ -745,7 +750,7 @@ def _random_cell_maps(p: CubicalSetPresentation, target, rng, tries: int = 200):
         for v in idx.values():
             v.sort()
         indexes[lv] = idx
-    for _ in range(tries):
+    for _ in range(200):
         maps = {zero_level: {c.name: rng.choice(t0) for c in p.cells.get(zero_level, [])}}
         ok = True
         for lv in one_levels:

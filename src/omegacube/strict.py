@@ -409,10 +409,6 @@ class Evaluator:
         return res
 
 
-def eval_term(t: Term, assignment: GeneratorAssignment) -> CellRef:
-    return Evaluator(assignment).eval(t)
-
-
 def tabular_extension(
     universe: TermUniverse, assignment: GeneratorAssignment
 ) -> dict[int, CellRef]:

@@ -3,8 +3,8 @@
 Terms are built from generator leaves by three operation families, each
 indexed by a direction: reflectors (degenerate identity cells, written
 ``id[d]``), duals (``dual[d]``), and binary compositions (``comp[d]``).
-In contraction mode a fourth constructor ``kappa[d]`` is available for
-certified parallel pairs; see the contraction module.
+A fourth constructor ``kappa[d]`` builds contraction cells, but only on
+parallel pairs certified by admit_kappa_pair; see the contraction module.
 
 A TermBuilder hash-conses every node, so structural equality is object
 identity and each node carries a stable arena id.  Boundaries are
@@ -109,10 +109,10 @@ class Term:
 class TermBuilder:
     """Arena of interned terms over one presentation.
 
-    mode is "magma" (no contraction cells) or "contraction".  Contraction
-    cells are only constructible for pairs registered through
-    admit_kappa_pair, which is how a congruence session certifies that
-    the two sides project to the same cell of the quotient.
+    Contraction cells are only constructible for pairs registered
+    through admit_kappa_pair, which is how a congruence session
+    certifies that the two sides project to the same cell of the
+    quotient.
 
     The intern table and the face cache are indexed by node id rather
     than by term.  The intern table maps ``(tag, d, child nids...)`` to
@@ -127,12 +127,9 @@ class TermBuilder:
     never hits, and misses check ownership (_own).
     """
 
-    def __init__(self, presentation: CubicalSetPresentation, mode: str = "magma"):
-        if mode not in ("magma", "contraction"):
-            raise TermError(f"unknown builder mode {mode!r}")
+    def __init__(self, presentation: CubicalSetPresentation):
         self.presentation = presentation
         self.config = presentation.config
-        self.mode = mode
         self.terms: list[Term] = []
         self._intern: dict[tuple, Term] = {}
         self._stride = 2 * self.config.dir_universe
@@ -261,8 +258,6 @@ class TermBuilder:
         if found is not None and found.args[0] is x and found.args[1] is y:
             return found
         self._own(x, y)
-        if self.mode != "contraction":
-            raise KappaError("kappa cells require a contraction-mode builder")
         if x.dirs != y.dirs:
             raise TermError(
                 f"kappa[{d}]: operands live at different levels "
@@ -404,17 +399,16 @@ def enumerate_free_magma(
     depth: int | None = None,
     *,
     size_cap: int | None = None,
-    max_terms: int | None = None,
     max_stage_dim: int | None = None,
     extra_atoms: list[Term] = (),
 ) -> TermUniverse:
     """Enumerate all free terms with at most ``depth`` operation nodes.
 
-    Accepts a presentation (a fresh magma-mode builder is created) or an
-    existing builder.  Stage w lists every well-formed term with exactly
-    w operations; generators are stage 0.  size_cap additionally prunes
-    terms by node count, max_terms stops the run, and max_stage_dim caps
-    the dimension (used by the stagewise contraction build).  Terms in
+    Accepts a presentation (a fresh builder is created) or an existing
+    builder.  Stage w lists every well-formed term with exactly w
+    operations; generators are stage 0.  size_cap additionally prunes
+    terms by node count, and max_stage_dim caps the dimension (used by
+    the stagewise contraction build).  Terms in
     extra_atoms are injected as atoms at their own stage; atoms heavier
     than depth are appended at the end rather than dropped, and the
     result is closed under boundaries so face tables never dangle.
@@ -422,7 +416,7 @@ def enumerate_free_magma(
     if isinstance(p_or_builder, TermBuilder):
         builder = p_or_builder
     else:
-        builder = TermBuilder(p_or_builder, mode="magma")
+        builder = TermBuilder(p_or_builder)
     cfg = builder.config
     if depth is None:
         depth = cfg.term_depth
@@ -433,17 +427,13 @@ def enumerate_free_magma(
     truncated = False
 
     def admit(t: Term, force: bool = False) -> bool:
-        # force bypasses the size and count caps for requested atoms
+        # force bypasses the size cap for requested atoms
         nonlocal truncated
         if t.dim > dim_cap:
             return False
-        if not force:
-            if size_cap is not None and t.size > size_cap:
-                truncated = True
-                return False
-            if max_terms is not None and len(out) >= max_terms:
-                truncated = True
-                return False
+        if not force and size_cap is not None and t.size > size_cap:
+            truncated = True
+            return False
         if t.nid in members:
             return False
         members.add(t.nid)

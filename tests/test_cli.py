@@ -197,7 +197,7 @@ def test_contract_certifies_the_build(quiver_file, tmp_path):
     report = read_report(out)
     assert report["ok"]
     assert len(report["kappa_table"]) == 36
-    assert report["invariants_checked"] == 286
+    assert report["invariants_checked"] == 252
 
 
 def test_eval_computes_product_values(iso_file, tmp_path, quiver_file):

@@ -11,6 +11,7 @@ from omegacube import (
     CongruenceSession,
     FAMILIES,
     GeneratorAssignment,
+    KappaError,
     TermError,
     TermBuilder,
     decide_equal,
@@ -25,6 +26,7 @@ from omegacube import (
 )
 from omegacube import strict
 from omegacube.relations import NODE_COUNTS, SCHEMES, ground_level, reflector_dirs
+from omegacube.term import KAPPA
 
 
 def by_text(universe, text):
@@ -128,8 +130,28 @@ def test_instances_pair_terms_at_one_level(universe3):
     assert rels
     for rel in rels:
         assert rel.left.level == rel.right.level
-    # a magma universe has no filler cells, so no projection instances
+    # a universe without filler cells has no projection instances
     assert not instantiate_relations(universe3, families={"contraction-projection"})
+
+
+def test_certified_pair_yields_a_filler_and_its_projection(quiver):
+    u = enumerate_free_magma(quiver, 2)
+    b = u.builder
+    f = by_text(u, "gen(f)")
+    ff = by_text(u, "dual[1](dual[1](gen(f)))")
+    with pytest.raises(KappaError):
+        b.kappa(2, f, ff)
+    b.admit_kappa_pair(f, ff)
+    k = b.kappa(2, f, ff)
+    assert k.kind == KAPPA
+    assert (b.boundary(k, 2, "s"), b.boundary(k, 2, "t")) == (f, ff)
+    with_filler = enumerate_free_magma(b, 2, extra_atoms=[k])
+    projections = [
+        (r.left, r.right)
+        for r in instantiate_relations(with_filler)
+        if r.family == "contraction-projection"
+    ]
+    assert projections == [(k, b.refl(2, f))]
 
 
 def test_side_size_cap_prunes_instances(universe3):

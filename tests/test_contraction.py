@@ -1,8 +1,12 @@
 """Free contractions: filler certification, units, induced maps."""
 
+import copy
+from dataclasses import replace
+
 import pytest
 
 from omegacube import (
+    FAMILIES,
     CongruenceSession,
     ContractionError,
     CubicalSetPresentation,
@@ -22,6 +26,7 @@ from omegacube import (
     validate_morphism,
     validate_quiver,
 )
+from omegacube.relations import reflector_dirs
 
 
 def by_text(cd, text):
@@ -61,36 +66,43 @@ def test_stagewise_build_reaches_the_cap(contraction):
 def test_all_filler_invariants_hold(contraction):
     report = validate_contraction(contraction)
     assert report.ok
-    assert report.checked == 286
+    assert report.checked == 252
 
 
 def test_fillers_connect_identified_pairs(contraction):
     f = by_text(contraction, "gen(f)")
     padded = by_text(contraction, "comp[1](gen(f),id[1](gen(a)))")
-    assert contraction.pi_same(f, padded)
+    assert contraction.session.same(f, padded)
     k = contraction.kappa_of(2, f, padded)
     b = contraction.builder
     assert b.boundary(k, 2, "s") is f
     assert b.boundary(k, 2, "t") is padded
     # the filler projects onto the degenerate square on both ends
-    assert contraction.pi_same(k, b.refl(2, f))
+    assert contraction.session.same(k, b.refl(2, f))
 
 
 def test_diagonal_requests_collapse_to_reflectors(contraction):
-    f = by_text(contraction, "gen(f)")
-    assert contraction.kappa_of(2, f, f) is contraction.builder.refl(2, f)
+    b = contraction.builder
+    requests = 0
+    for level, terms in contraction.universe.levels.items():
+        for d in reflector_dirs(contraction.config, level):
+            for t in terms:
+                assert b.kappa(d, t, t) is b.refl(d, t)
+                assert contraction.kappa_of(d, t, t) is b.refl(d, t)
+                requests += 1
+    assert requests == 34
 
 
 def test_unidentified_pairs_have_no_filler(contraction):
     f = by_text(contraction, "gen(f)")
     g = by_text(contraction, "gen(g)")
-    assert not contraction.pi_same(f, g)
+    assert not contraction.session.same(f, g)
     with pytest.raises(ContractionError):
         contraction.kappa_of(2, f, g)
 
 
 def test_fillers_reject_terms_of_other_builders(contraction):
-    stranger = TermBuilder(contraction.presentation, mode="contraction")
+    stranger = TermBuilder(contraction.presentation)
     enumerate_free_magma(stranger, 2)
     # a filler key whose nids both name terms of the second builder
     d, xn, yn = next(k for k in sorted(contraction.kappa) if max(k[1:]) < len(stranger))
@@ -127,6 +139,64 @@ def test_filler_for_a_separated_pair_is_detected(scratch):
     scratch.kappa[(2, f.nid, g.nid)] = donor
     report = validate_contraction(scratch)
     assert any(v.tag == "kappa-domain-extra" for v in report.violations)
+
+
+# a class of four identified 1-cells of the depth-2 contraction
+F_CLASS = (
+    "gen(f)",
+    "comp[1](gen(f),id[1](gen(a)))",
+    "comp[1](id[1](gen(b)),gen(f))",
+    "dual[1](dual[1](gen(f)))",
+)
+
+
+def plant(cd, tag):
+    """Deface a copy of a contraction so that the invariant behind tag fails.
+
+    The copy owns its filler table; anything else that is swapped out
+    is replaced on the copy, never changed in place.
+    """
+    x, y, x2, y2 = (by_text(cd, text) for text in F_CLASS)
+    key = (2, x.nid, y.nid)
+    if tag == "kappa-source":
+        cd.kappa[key] = cd.kappa[(2, x2.nid, y.nid)]
+    elif tag == "kappa-target":
+        cd.kappa[key] = cd.kappa[(2, x.nid, y2.nid)]
+    elif tag == "kappa-degenerate":
+        cd.kappa[(2, x.nid, x.nid)] = cd.builder.refl(2, x)
+    elif tag == "kappa-transverse":
+        # a builder copy that reports a wrong 1-face for one filler
+        node = cd.kappa[key]
+        wrong = cd.builder.refl(2, by_text(cd, "gen(b)"))
+        b = copy.copy(cd.builder)
+        real = b.boundary
+        b.boundary = lambda t, d, side: wrong if t is node and d == 1 else real(t, d, side)
+        cd.builder = b
+    elif tag == "kappa-projection":
+        # a word problem that lacks the contraction-projection instances
+        families = set(FAMILIES) - {"contraction-projection"}
+        relations = instantiate_relations(cd.universe, families=families)
+        cd.session = CongruenceSession(cd.universe).seed(relations).saturate()
+
+
+# the two domain tags have their planted faults in the tests above
+@pytest.mark.parametrize(
+    "tag, reported",
+    [
+        ("kappa-source", {"kappa-source"}),
+        ("kappa-target", {"kappa-target"}),
+        # a diagonal pair is never in the domain either
+        ("kappa-degenerate", {"kappa-domain-extra", "kappa-degenerate"}),
+        ("kappa-transverse", {"kappa-transverse"}),
+        ("kappa-projection", {"kappa-projection"}),
+    ],
+)
+def test_planted_fault_is_reported_under_its_tag(contraction, tag, reported):
+    defaced = replace(contraction, kappa=dict(contraction.kappa))
+    assert validate_contraction(defaced).ok
+    plant(defaced, tag)
+    report = validate_contraction(defaced)
+    assert {v.tag for v in report.violations} == reported
 
 
 def test_universe_reads_back_as_a_presentation(contraction):
@@ -184,7 +254,7 @@ def test_morphisms_extend_with_naturality(quiver, seed_config, contraction):
     padded = by_text(contraction, "comp[1](gen(f),id[1](gen(a)))")
     filler = contraction.kappa_of(2, f, padded)
     image = ext.phi(filler)
-    assert target.pi_same(image, target.builder.refl(2, ext.phi(f)))
+    assert target.session.same(image, target.builder.refl(2, ext.phi(f)))
 
 
 def test_quotient_view_operations(contraction):

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used by its module."""
+"""Every module-level import of the package is used by its module, and
+every parameter of a package function is read by its body."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,30 @@ def test_package_modules_use_every_module_level_import():
         if (found := _unused_imports(ast.parse(path.read_text(), filename=str(path))))
     }
     assert unused == {}
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [f"{node.name}({p.arg}) (line {node.lineno})" for p in params if p.arg not in read]
+    return found
+
+
+def test_package_functions_read_every_parameter():
+    modules = sorted(PACKAGE.glob("*.py"))
+    unread = {
+        path.name: found
+        for path in modules
+        if (found := _unread_parameters(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert unread == {}

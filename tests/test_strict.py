@@ -16,7 +16,6 @@ from omegacube import (
     check_universal_factorization,
     cyclic_group_category,
     enumerate_free_magma,
-    eval_term,
     pair_groupoid,
     tabular_extension,
     two_generator_quiver,
@@ -302,7 +301,7 @@ def test_evaluation_matches_hand_computed_values():
     assert ev.eval(b.comp(1, g, f)).name == "ia"
     assert ev.eval(b.dual(1, f)).name == "v"
     assert ev.eval(b.refl(1, a)).name == "ia"
-    assert eval_term(b.comp(1, g, f), assignment).name == "ia"
+    assert Evaluator(assignment).eval(b.comp(1, g, f)).name == "ia"
 
 
 def test_evaluator_keeps_terms_of_other_builders_apart():
@@ -317,7 +316,7 @@ def test_evaluator_keeps_terms_of_other_builders_apart():
 
 
 def test_contraction_cells_have_no_tabular_value(quiver):
-    b = TermBuilder(quiver, mode="contraction")
+    b = TermBuilder(quiver)
     f = b.gen(quiver.cell(1, (1,), "f"))
     a = b.gen(quiver.cell(0, (), "a"))
     padded = b.comp(1, f, b.refl(1, a))

@@ -90,7 +90,7 @@ def test_typing_violations_raise(builder):
     with pytest.raises(TermError):
         builder.dual(2, g["f"])
     with pytest.raises(KappaError):
-        builder.kappa(1, g["a"], g["b"])  # magma mode has no fillers
+        builder.kappa(1, g["a"], g["b"])  # the pair carries no certificate
 
 
 def test_iterated_faces_reach_all_corners(builder):
@@ -161,7 +161,7 @@ def test_universe_membership_rejects_terms_of_other_builders(quiver):
 
 
 def test_constructors_reject_terms_of_other_builders(quiver):
-    b1 = TermBuilder(quiver, mode="contraction")
+    b1 = TermBuilder(quiver)
     f1 = b1.gen(quiver.cell(1, (1,), "f"))
     df1 = b1.dual(1, f1)
     # fill the slots that g2's nid would land on
