@@ -17,7 +17,9 @@ reaches a fixpoint whenever the budget allows.
 
 Verdicts are three-valued.  Equal comes with a merge trace, NotEqual
 requires a separating evaluation into a concrete strict model, and
-anything else is reported as Unknown rather than guessed.
+anything else is reported as Unknown rather than guessed.  A session
+memoises each separator's images across decisions, so a separator is
+read as immutable for the session's lifetime.
 """
 
 from __future__ import annotations
@@ -141,6 +143,7 @@ class CongruenceSession:
         self._merged: list[int] = []
         self._pf_parent: list[int] = []
         self._pf_reason: list[object] = []
+        self._images: dict[int, Evaluator] = {}
         self._ingested = 0
         self.merges = 0
         self.processed = 0
@@ -350,32 +353,41 @@ class CongruenceSession:
     # explanations ----------------------------------------------------
 
     def explain(self, a: Term, b: Term) -> list[dict]:
-        """A chain of proof-forest edges connecting two equal terms."""
+        """A chain of proof-forest edges connecting two equal terms.
+
+        Both ends climb towards the root in turn, each recording the
+        nodes it has passed; the first node one climb finds on the
+        other's is their nearest common ancestor, so the walk stops at
+        the meet instead of the root.  A path in a tree is unique, so
+        the chain is the one a walk to the root would give.
+        """
         if not self.same(a, b):
             raise TermError(f"{a.text} and {b.text} are not in the same class")
         if a is b:
             return []
 
         parent, why = self._pf_parent, self._pf_reason
-
-        def path_to_root(n: int) -> list[int]:
-            out = [n]
-            while parent[n] != -1:
-                n = parent[n]
-                out.append(n)
-            return out
-
-        pa = path_to_root(a.nid)
-        pb = path_to_root(b.nid)
-        on_a = {n: i for i, n in enumerate(pa)}
-        meet = next(n for n in pb if n in on_a)
-        steps = []
-        for n in pa[: on_a[meet]]:
-            steps.append((n, parent[n], why[n]))
-        tail = []
-        for n in pb[: pb.index(meet)]:
-            tail.append((parent[n], n, why[n]))
-        steps.extend(reversed(tail))
+        pa, pb = [a.nid], [b.nid]
+        on_a, on_b = {a.nid: 0}, {b.nid: 0}
+        while True:
+            # the tails are checked before either climbs again, so the
+            # first node seen by both climbs is the lowest one they share
+            x, y = pa[-1], pb[-1]
+            if x in on_b:
+                meet = x
+                break
+            if y in on_a:
+                meet = y
+                break
+            x, y = parent[x], parent[y]
+            if x != -1:
+                on_a[x] = len(pa)
+                pa.append(x)
+            if y != -1:
+                on_b[y] = len(pb)
+                pb.append(y)
+        steps = [(n, parent[n], why[n]) for n in pa[: on_a[meet]]]
+        steps.extend((parent[n], n, why[n]) for n in reversed(pb[: on_b[meet]]))
         terms = self.builder.terms
         return [
             {
@@ -446,6 +458,12 @@ def decide_equal(
     saturation stopped short of its fixpoint, "no-separator" when no
     separator was given, "no-separator-applied" when every separator
     failed to evaluate a side, and "not-separated" otherwise.
+
+    The session memoises the images of each separator, keyed by the
+    separator object, for as long as it lives: a separator must not be
+    changed once a session has used it.  Images depend on the separator
+    and the term alone, never on the closure, so later seeding and
+    saturation leave them valid.
     """
     if t1.level != t2.level:
         raise TermError(
@@ -463,8 +481,12 @@ def decide_equal(
     if session.same(t1, t2):
         return Decision("equal", {"trace": session.explain(t1, t2)})
     applied = 0
+    images = session._images
     for i, assignment in enumerate(separators):
-        ev = Evaluator(assignment)
+        # the evaluator holds its assignment, so a memoised id is never reused
+        ev = images.get(id(assignment))
+        if ev is None or ev.assignment is not assignment:
+            ev = images[id(assignment)] = Evaluator(assignment)
         try:
             v1 = ev.eval(t1)
             v2 = ev.eval(t2)

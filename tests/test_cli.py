@@ -108,7 +108,7 @@ def test_decide_separated_pair(quiver_file, capsys):
 
 
 def test_decide_unknown_exits_nonzero(quiver_file):
-    # separated squares, but no separating assignment exists at dim 2
+    # distinct square classes, but the CLI wires no dim-2 separator yet
     rc = run(["decide", quiver_file, "--t1", "id[2](gen(f))", "--t2", "id[2](gen(g))"])
     assert rc == 1
 
@@ -257,4 +257,8 @@ def test_oracle_subcommand_passes(quiver_file, tmp_path):
     out = tmp_path / "oracle.json"
     assert run(["oracle", quiver_file, "--depth", "4", "--out", str(out)]) == 0
     report = read_report(out)
-    assert report["ok"] and report["unknown_pairs"] == 0
+    assert report["ok"]
+    assert report["pairs"] == 7143
+    assert report["equal_pairs"] == 493
+    assert report["not_equal_pairs"] == 6650
+    assert report["unknown_pairs"] == 0

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -239,6 +240,74 @@ def test_traces_of_every_depth_three_instance_are_pinned(saturated):
     assert h.hexdigest() == "407c257a4c9537d75b021d70310946b148174a0f53481593896eb373fd8d08e5"
 
 
+def full_path_explain(session, a, b):
+    """Reference trace: walk both proof-forest paths to the root, then cut
+    them at the first shared node; kept apart from the session's explain."""
+    parent, why = session._pf_parent, session._pf_reason
+    if a is b:
+        return []
+
+    def path_to_root(n):
+        out = [n]
+        while parent[n] != -1:
+            n = parent[n]
+            out.append(n)
+        return out
+
+    def reason_text(reason):
+        if reason[0] == "seed":
+            return f"relation {reason[1]}"
+        if reason[0] == "faces":
+            return f"{reason[4]}-face({reason[3]}) of a merged pair"
+        return "operation compatibility"
+
+    pa, pb = path_to_root(a.nid), path_to_root(b.nid)
+    on_a = {n: i for i, n in enumerate(pa)}
+    meet = next(n for n in pb if n in on_a)
+    steps = [(n, parent[n], why[n]) for n in pa[: on_a[meet]]]
+    steps += [(parent[n], n, why[n]) for n in reversed(pb[: pb.index(meet)])]
+    terms = session.builder.terms
+    return [
+        {"left": terms[x].text, "right": terms[y].text, "by": reason_text(r)}
+        for x, y, r in steps
+    ]
+
+
+def reversed_trace(steps):
+    return [{"left": s["right"], "right": s["left"], "by": s["by"]} for s in reversed(steps)]
+
+
+def test_explain_matches_the_full_path_walk_inside_every_universe_class(saturated):
+    classes = saturated.classes(saturated.universe.all_terms())
+    assert len(classes) == 38
+    pairs = longest = 0
+    for members in classes:
+        for a in members:
+            for b in members:
+                steps = saturated.explain(a, b)
+                assert steps == full_path_explain(saturated, a, b)
+                assert saturated.explain(b, a) == reversed_trace(steps)
+                pairs += 1
+                longest = max(longest, len(steps))
+    assert pairs == 802
+    assert longest == 9
+
+
+def test_explain_matches_the_full_path_walk_on_random_arena_pairs(saturated):
+    terms = saturated.builder.terms
+    by_root = {}
+    for n in range(saturated.stats()["nodes"]):
+        by_root.setdefault(saturated.find(n), []).append(n)
+    rng = random.Random(20261018)
+    nodes = range(saturated.stats()["nodes"])
+    for _ in range(20000):
+        a = rng.choice(nodes)
+        b = rng.choice(by_root[saturated.find(a)])
+        steps = saturated.explain(terms[a], terms[b])
+        assert steps == full_path_explain(saturated, terms[a], terms[b])
+        assert saturated.explain(terms[b], terms[a]) == reversed_trace(steps)
+
+
 def test_decide_equal_three_verdicts(saturated, quiver):
     u = saturated.universe
     b = u.builder
@@ -260,6 +329,15 @@ def test_decide_equal_three_verdicts(saturated, quiver):
     assert unk.witness["cause"] == "no-separator-applied"
 
 
+def collapsing_assignment(quiver):
+    """One object and one arrow: f and g land on the same cell."""
+    return GeneratorAssignment(
+        quiver,
+        as_strict_table(cyclic_group_category(1)),
+        {(0, ()): {"a": "e", "b": "e", "c": "e"}, (1, (1,)): {"f": "g0", "g": "g0"}},
+    )
+
+
 def test_unknown_verdicts_without_a_separating_model_name_their_cause(saturated, quiver):
     u = saturated.universe
     f = by_text(u, "gen(f)")
@@ -267,15 +345,81 @@ def test_unknown_verdicts_without_a_separating_model_name_their_cause(saturated,
     alone = decide_equal(saturated, f, g)
     assert alone.verdict == "unknown"
     assert alone.witness["cause"] == "no-separator"
-    # one object and one arrow: f and g land on the same cell
-    collapse = GeneratorAssignment(
-        quiver,
-        as_strict_table(cyclic_group_category(1)),
-        {(0, ()): {"a": "e", "b": "e", "c": "e"}, (1, (1,)): {"f": "g0", "g": "g0"}},
-    )
+    collapse = collapsing_assignment(quiver)
     blind = decide_equal(saturated, f, g, [collapse])
     assert blind.verdict == "unknown"
     assert blind.witness["cause"] == "not-separated"
+
+
+def counted_applies(monkeypatch):
+    """Count every generator image a separator is asked for."""
+    calls = []
+    real = GeneratorAssignment.apply
+
+    def apply(self, cell):
+        calls.append(self)
+        return real(self, cell)
+
+    monkeypatch.setattr(GeneratorAssignment, "apply", apply)
+    return calls
+
+
+@pytest.fixture()
+def small_closure(quiver):
+    u = enumerate_free_magma(quiver, 2)
+    return u, instantiate_relations(u)
+
+
+def test_separator_images_are_memoised_per_session(monkeypatch, small_closure, quiver):
+    u, rels = small_closure
+    f, g = by_text(u, "gen(f)"), by_text(u, "gen(g)")
+    sep = word_separator(quiver)
+    calls = counted_applies(monkeypatch)
+    session = CongruenceSession(u).seed(rels).saturate()
+    first = decide_equal(session, f, g, [sep])
+    assert first.to_dict() == {
+        "verdict": "not-equal",
+        "witness": {
+            "separator": 0,
+            "target": "free-words-6(two-generator-quiver)",
+            "left_value": "1/1:f",
+            "right_value": "1/1:g",
+        },
+    }
+    assert len(calls) == 2
+    # the same pair again evaluates nothing
+    assert decide_equal(session, f, g, [sep]) == first
+    assert len(calls) == 2
+    # a second session keeps no images of the first
+    other = CongruenceSession(u).seed(rels).saturate()
+    assert decide_equal(other, f, g, [sep]) == first
+    assert len(calls) == 4
+
+
+def test_distinct_separators_keep_their_own_images(monkeypatch, small_closure, quiver):
+    u, rels = small_closure
+    b = u.builder
+    f, g = by_text(u, "gen(f)"), by_text(u, "gen(g)")
+    word = word_separator(quiver)
+    collapse = collapsing_assignment(quiver)
+    calls = counted_applies(monkeypatch)
+    session = CongruenceSession(u).seed(rels).saturate()
+    both = decide_equal(session, f, g, [collapse, word])
+    assert both.verdict == "not-equal"
+    assert both.witness["separator"] == 1
+    assert both.witness["left_value"] == "1/1:f"
+    assert Counter(id(a) for a in calls) == {id(collapse): 2, id(word): 2}
+    del calls[:]
+    # each separator answers from its own images, in either order and alone
+    assert decide_equal(session, f, g, [collapse]).witness["cause"] == "not-separated"
+    swapped = decide_equal(session, f, g, [word, collapse])
+    assert swapped.witness == {**both.witness, "separator": 0}
+    assert calls == []
+    # a new term over a memoised generator needs no new generator image
+    flipped = decide_equal(session, f, b.dual(1, f), [collapse, word])
+    assert flipped.witness["separator"] == 1
+    assert flipped.witness["right_value"] == "1/1:f'"
+    assert calls == []
 
 
 def test_decide_equal_accepts_late_nodes(saturated):
