@@ -281,8 +281,9 @@ def criterion_oracle_equivalence(seed: int = DEFAULT_SEED) -> dict:
     start = perf_counter()
     p = two_generator_quiver(DIM1_CONFIG)
     universe = enumerate_free_magma(p, ORACLE_DEPTH, size_cap=ORACLE_SIZE_CAP, max_stage_dim=1)
-    relations = instantiate_relations(universe, max_side_size=ORACLE_SIDE_CAP)
-    session = CongruenceSession(universe).seed(relations).saturate()
+    session = CongruenceSession(universe).saturate_over_classes(
+        universe.levels, max_side_size=ORACLE_SIDE_CAP
+    )
     report = word_oracle_sweep(session)
 
     # spot-check on the same closure that the three-valued front door

@@ -5,13 +5,21 @@ structure is generated by the relation schemes of the relations module.
 A universe holding contraction cells adds one more scheme, identifying
 each contraction cell with the reflector of its source.
 
-instantiate_relations grounds every scheme over a finite term universe.
-CongruenceSession saturates the resulting pair set with a union-find
-plus signature-table closure.  A congruence here must be closed under
-faces as well, so whenever the merge queue drains, one face pass over
-the pairs merged since the last pass queues the faces that still
-differ, and saturation goes on until a pass queues nothing (egg's
-deferred rebuild, applied to faces).  Neither closure creates a term
+instantiate_relations grounds every scheme over a finite term universe,
+building every match; CongruenceSession saturates the resulting pair
+set with a union-find plus signature-table closure.  Callers that need
+only the partition use CongruenceSession.saturate_over_classes instead,
+which seeds one instance per family, directions and tuple of operand
+classes and rescans to a checked fixpoint (Downey, Sethi and Tarjan's
+congruence closure with the rules fired per class, as equality
+saturation does), so the arena follows the number of classes rather
+than the number of matches, and the partition of the universe is the
+same.
+
+A congruence here must be closed under faces as well, so whenever the
+merge queue drains, one face pass over the pairs merged since the last
+pass queues the faces that still differ, and saturation goes on until
+a pass queues nothing (egg's deferred rebuild, applied to faces).  Neither closure creates a term
 whose operation count exceeds those already present, so saturation
 reaches a fixpoint whenever the budget allows.
 
@@ -40,6 +48,47 @@ from .strict import EvalError, Evaluator
 from .term import GEN, KAPPA, Term, TermError, TermUniverse
 
 
+# The sides of each scheme, plus contraction-projection: a filler k from
+# x is identified with the reflector of x.  Its operands are (k, x), so,
+# as for every scheme, both sides are built from the operands alone.
+_SIDES = {**SCHEMES, "contraction-projection": lambda A, d, k, x: (k, A.refl(d, x))}
+
+
+def _wanted(families) -> set[str]:
+    if families is None:
+        return set(FAMILIES)
+    unknown = set(families) - set(FAMILIES)
+    if unknown:
+        raise ValueError(f"unknown relation families {sorted(unknown)}")
+    return set(families)
+
+
+def _matches(builder, levels, wanted: set[str], max_side_size: int | None):
+    """Yield (family, directions, operands) for every relation match.
+
+    Per level, the scheme matches come in ground_level's order, then one
+    contraction-projection match per contraction cell.  max_side_size
+    drops a scheme match either side of which would exceed the given
+    node count, judged before any term is built.
+    """
+    for level, terms in levels.items():
+        upper = reflector_dirs(builder.config, level)
+        for family, dirs, operands in ground_level(builder, level, terms, upper, wanted):
+            if max_side_size is not None:
+                sizes = [t.size for t in operands]
+                # every scheme has a side holding each operand once, so a side
+                # outgrows the operands' total: most oversized matches stop there
+                if sum(sizes) >= max_side_size:
+                    continue
+                if max(SCHEMES[family](NODE_COUNTS, *dirs, *sizes)) > max_side_size:
+                    continue
+            yield family, dirs, operands
+        if "contraction-projection" in wanted:
+            for t in terms:
+                if t.kind == KAPPA:
+                    yield "contraction-projection", (t.d,), (t, t.left)
+
+
 def instantiate_relations(
     universe: TermUniverse,
     *,
@@ -48,39 +97,21 @@ def instantiate_relations(
 ) -> list[RelationInstance]:
     """Ground every relation scheme over the terms of a universe.
 
-    families restricts to a subset of scheme tags (useful for planting
-    omissions in tests); max_side_size skips instances either side of
-    which would exceed the given node count, without building them.
-    Each contraction cell of the universe gets its projection instance;
-    such cells exist only where admit_kappa_pair certified the pair.
+    This builds every match, so it is the syntactic reference that
+    CongruenceSession.saturate_over_classes is held to.  families
+    restricts to a subset of scheme tags (useful for planting omissions
+    in tests); max_side_size skips instances either side of which would
+    exceed the given node count, without building them.  Each
+    contraction cell of the universe gets its projection instance; such
+    cells exist only where admit_kappa_pair certified the pair.
     """
-    if families is not None:
-        unknown = set(families) - set(FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown relation families {sorted(unknown)}")
     b = universe.builder
-    wanted = set(FAMILIES if families is None else families)
-    out: list[RelationInstance] = []
-    for level, terms in universe.levels.items():
-        upper = reflector_dirs(b.config, level)
-        for family, dirs, operands in ground_level(b, level, terms, upper, wanted):
-            scheme = SCHEMES[family]
-            if max_side_size is not None:
-                sizes = [t.size for t in operands]
-                # every scheme has a side holding each operand once, so a side
-                # outgrows the operands' total: most oversized matches stop there
-                if sum(sizes) >= max_side_size:
-                    continue
-                if max(scheme(NODE_COUNTS, *dirs, *sizes)) > max_side_size:
-                    continue
-            out.append(RelationInstance(family, *scheme(b, *dirs, *operands)))
-        if "contraction-projection" in wanted:
-            for t in terms:
-                if t.kind == KAPPA:
-                    out.append(
-                        RelationInstance("contraction-projection", t, b.refl(t.d, t.left))
-                    )
-    return out
+    return [
+        RelationInstance(family, *_SIDES[family](b, *dirs, *operands))
+        for family, dirs, operands in _matches(
+            b, universe.levels, _wanted(families), max_side_size
+        )
+    ]
 
 
 # -- congruence closure ------------------------------------------------
@@ -144,6 +175,7 @@ class CongruenceSession:
         self._pf_parent: list[int] = []
         self._pf_reason: list[object] = []
         self._images: dict[int, Evaluator] = {}
+        self._seen: set[tuple] = set()
         self._ingested = 0
         self.merges = 0
         self.processed = 0
@@ -350,6 +382,82 @@ class CongruenceSession:
             self.processed += 1
             self._merge(a, b, ra, rb, reason)
 
+    def saturate_over_classes(
+        self,
+        levels,
+        *,
+        families: set[str] | None = None,
+        max_side_size: int | None = None,
+        budget: int | None = None,
+    ) -> "CongruenceSession":
+        """Close the given levels under the relation schemes, one instance
+        per class tuple of operands.
+
+        levels maps a level to its terms, as TermUniverse.levels does;
+        families and max_side_size restrict the matches as they do for
+        instantiate_relations.  A match is keyed by its family, its
+        directions and the classes of its operands, and only a match
+        whose key the session has not seen is built and seeded.  The
+        projections of contraction cells go first, then the matches in
+        waves of rising largest operand weight, saturating after each
+        wave, so the light instances have merged classes before the
+        heavy matches are keyed.  Then the seen keys are moved to the
+        current roots and every match is scanned again; the call ends
+        only when a full scan seeds nothing.  The seen keys stay with the
+        session, so a later call on grown levels seeds only the class
+        tuples no earlier call covered.
+
+        The partition equals that of seeding every instance: an unseeded
+        match has the same operand classes as a seeded one, and its sides
+        are built from its operands by the same scheme, so congruence
+        alone puts them in the classes of the seeded sides.  Every seeded
+        instance is also a syntactic one, so neither closure identifies
+        more than the other on the universe.  The side cap is checked per
+        match, so the representative of a class tuple always passes it.
+
+        budget bounds the merges of the whole call, across its waves and
+        scans.  When it runs out, the waves left are still keyed and
+        seeded, but not saturated: completed is False, as for saturate,
+        and a later saturate reaches the same closure as a call with
+        budget to spare.
+        """
+        b = self.builder
+        if budget is None:
+            budget = b.config.saturation_budget
+        stop = self.processed + budget
+        waves: dict[int, list] = {}
+        for match in _matches(b, levels, _wanted(families), max_side_size):
+            family, _, operands = match
+            # projections come first: each puts a filler in a reflector's
+            # class before any wave keys a match over that filler
+            w = -1 if family == "contraction-projection" else max(t.weight for t in operands)
+            waves.setdefault(w, []).append(match)
+        scan = [waves[w] for w in sorted(waves)]
+        exhausted = not self.saturate(budget).completed
+        while True:
+            fresh = 0
+            for matches in scan:
+                fresh += self._seed_new_classes(matches)
+                if not exhausted:
+                    exhausted = not self.saturate(stop - self.processed).completed
+            if exhausted or not fresh:
+                return self
+
+    def _seed_new_classes(self, matches) -> int:
+        """Seed the matches whose class key is new, after moving the seen
+        keys to the current roots; return how many were seeded."""
+        find = self.find
+        seen = self._seen = {(k[0], k[1], *map(find, k[2:])) for k in self._seen}
+        b = self.builder
+        fresh = []
+        for family, dirs, operands in matches:
+            key = (family, dirs, *[find(t.nid) for t in operands])
+            if key not in seen:
+                seen.add(key)
+                fresh.append(RelationInstance(family, *_SIDES[family](b, *dirs, *operands)))
+        self.seed(fresh)
+        return len(fresh)
+
     # explanations ----------------------------------------------------
 
     def explain(self, a: Term, b: Term) -> list[dict]:
@@ -363,6 +471,10 @@ class CongruenceSession:
         """
         if not self.same(a, b):
             raise TermError(f"{a.text} and {b.text} are not in the same class")
+        return self._explain(a, b)
+
+    def _explain(self, a: Term, b: Term) -> list[dict]:
+        """explain for a pair already known to share a class."""
         if a is b:
             return []
 
@@ -479,7 +591,7 @@ def decide_equal(
     if t1.nid >= session._ingested or t2.nid >= session._ingested:
         session.saturate()
     if session.same(t1, t2):
-        return Decision("equal", {"trace": session.explain(t1, t2)})
+        return Decision("equal", {"trace": session._explain(t1, t2)})
     applied = 0
     images = session._images
     for i, assignment in enumerate(separators):

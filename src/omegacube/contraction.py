@@ -11,21 +11,23 @@ contractions of the face pairs.
 
 The build walks dimensions upward with one congruence session shared
 by every stage.  At stage n it enumerates the universe up to dimension
-n, seeds the session with the relation instances no earlier stage
-seeded, saturates, and then certifies every identified pair at
-dimension n and admits one contraction cell per direction and ordered
-pair; the new cells are atoms of stage n+1.  Each stage's universe
-contains the previous one, so the shared closure equals a fresh
-closure of the stage's full instance set.  Identification is the session's verdict at the current
-stage, so pairs the budgeted closure cannot identify are simply not
-contracted (and can be logged against separating models).
+n, closes the session over the levels whose terms changed, seeding one
+relation instance per class tuple of operands that no earlier stage
+covered (CongruenceSession.saturate_over_classes), and then certifies
+every identified pair at dimension n and admits one contraction cell
+per direction and ordered pair; the new cells are atoms of stage n+1.
+Each stage's universe contains the previous one, so the shared closure
+partitions the stage's universe as a fresh closure of its full
+instance set does.  Identification is the session's verdict at the
+current stage, so pairs the budgeted closure cannot identify are simply
+not contracted (and can be logged against separating models).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .congruence import CongruenceSession, instantiate_relations
+from .congruence import CongruenceSession
 from .presentation import (
     CubicalSetPresentation,
     LevelKey,
@@ -134,11 +136,11 @@ def build_free_contraction(
     """Build the free contraction over a presentation, stage by stage.
 
     One CongruenceSession serves every stage: each stage points it at
-    the stage's universe, grounds the relation schemes over the levels
-    whose terms changed since an earlier stage, and seeds only the
-    instances, keyed by (family, left nid, right nid), that no earlier
-    stage seeded.  budget bounds the merges of each stage's saturation
-    pass.
+    the stage's universe and closes it over the levels whose terms
+    changed since an earlier stage with saturate_over_classes, whose
+    class keys outlive the stage, so an operand-class tuple an earlier
+    stage seeded is not seeded again.  budget bounds the merges of each
+    stage's closure.
 
     size_cap bounds the node count of enumerated terms; wide
     presentations need it because filler admission grows with the
@@ -155,7 +157,6 @@ def build_free_contraction(
     stages: list[ContractionStage] = []
     universe: TermUniverse | None = None
     session: CongruenceSession | None = None
-    seeded: set[tuple[str, int, int]] = set()
     grounded: dict[LevelKey, list[Term]] = {}
 
     for n in range(cfg.max_dim + 1):
@@ -166,21 +167,13 @@ def build_free_contraction(
             session = CongruenceSession(universe)
         else:
             session.universe = universe
-        # instances of a level depend on that level's terms alone, so only
+        # matches of a level depend on that level's terms alone, so only
         # levels whose term list changed since an earlier stage are grounded;
-        # a changed level is grounded whole, so its earlier instances are
-        # dropped by key
+        # a changed level is grounded whole, and the session's class keys
+        # drop the matches an earlier stage covered
         changed = {lv: ts for lv, ts in universe.levels.items() if grounded.get(lv) != ts}
         grounded.update(changed)
-        fresh = []
-        for rel in instantiate_relations(
-            replace(universe, levels=changed), max_side_size=max_side_size
-        ):
-            key = (rel.family, rel.left.nid, rel.right.nid)
-            if key not in seeded:
-                seeded.add(key)
-                fresh.append(rel)
-        session.seed(fresh).saturate(budget)
+        session.saturate_over_classes(changed, max_side_size=max_side_size, budget=budget)
         added = 0
         excluded: list[tuple[str, str]] = []
         for level, terms in sorted(universe.levels.items()):

@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .congruence import CongruenceSession, instantiate_relations
+from .congruence import CongruenceSession
 from .presentation import CubicalSetPresentation, SetMorphism, TruncationConfig
 from .strict import GeneratorAssignment, Evaluator, StrictCategoryTable
 from .term import (
@@ -659,12 +659,14 @@ def oracle_compare(
 ) -> OracleReport:
     """Saturate the dimension-<=1 universe, then sweep it against words.
 
-    The full relation set (or the given families) is grounded over the
-    universe and saturated; word_oracle_sweep then judges the closure.
+    The full relation set (or the given families) is closed over the
+    universe's classes; word_oracle_sweep then judges the closure.
     """
     universe = enumerate_free_magma(p, depth, size_cap=size_cap, max_stage_dim=1)
-    relations = instantiate_relations(universe, families=families, max_side_size=max_side_size)
-    return word_oracle_sweep(CongruenceSession(universe).seed(relations).saturate(budget))
+    session = CongruenceSession(universe).saturate_over_classes(
+        universe.levels, families=families, max_side_size=max_side_size, budget=budget
+    )
+    return word_oracle_sweep(session)
 
 
 def word_oracle_sweep(session: CongruenceSession) -> OracleReport:

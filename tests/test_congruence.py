@@ -5,27 +5,33 @@ import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegacube import (
     CongruenceSession,
+    CubicalSetPresentation,
     FAMILIES,
     GeneratorAssignment,
     KappaError,
     TermError,
     TermBuilder,
+    TruncationConfig,
     decide_equal,
     enumerate_free_magma,
     instantiate_relations,
     audit_congruence,
     as_strict_table,
     cyclic_group_category,
+    two_generator_quiver,
     validate_involutive,
     validate_strict,
     word_separator,
 )
 from omegacube import strict
+from omegacube.acceptance import DIM1_CONFIG, ORACLE_DEPTH, ORACLE_SIDE_CAP, ORACLE_SIZE_CAP
 from omegacube.relations import NODE_COUNTS, SCHEMES, ground_level, reflector_dirs
 from omegacube.term import KAPPA
 
@@ -609,3 +615,94 @@ def test_signature_merging_is_congruent(quiver):
     # equal arguments force equal duals without a seeded pair for them
     assert session.same(b.dual(1, padded), b.dual(1, f))
     assert session.same(b.refl(2, padded), b.refl(2, f))
+
+
+# -- closure over classes ------------------------------------------------
+
+
+def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
+    quiver, saturated
+):
+    u = enumerate_free_magma(quiver, 3)
+    session = CongruenceSession(u).saturate_over_classes(u.levels)
+    assert session.completed
+    assert len(session.classes(u.all_terms())) == 38
+    assert partition_digest(session, u) == partition_digest(saturated, saturated.universe)
+    # the 51,196 matches fall into 1,787 operand-class tuples
+    assert len(session._seen) == 1787
+    assert session.stats()["nodes"] < saturated.stats()["nodes"] // 20
+    assert audit_congruence(session).ok
+
+
+def closure_case(name, quiver):
+    """A universe, the levels to close and the side cap of a named case."""
+    if name == "oracle-dim1":
+        p = two_generator_quiver(DIM1_CONFIG)
+        u = enumerate_free_magma(p, ORACLE_DEPTH, size_cap=ORACLE_SIZE_CAP, max_stage_dim=1)
+        return u, u.levels, ORACLE_SIDE_CAP
+    # the square levels of the square_seeds universe, whose merges reach
+    # the unseeded arrows only through faces
+    u = enumerate_free_magma(quiver, 2)
+    return u, {lv: ts for lv, ts in u.levels.items() if lv[0] == 2}, None
+
+
+@pytest.mark.parametrize("case", ["oracle-dim1", "square-levels"])
+def test_class_closure_matches_a_fresh_syntactic_closure(quiver, case):
+    u, levels, cap = closure_case(case, quiver)
+    rels = instantiate_relations(replace(u, levels=levels), max_side_size=cap)
+    syntactic = CongruenceSession(u).seed(rels).saturate()
+    v, levels, cap = closure_case(case, quiver)
+    by_class = CongruenceSession(v).saturate_over_classes(levels, max_side_size=cap)
+    assert syntactic.completed and by_class.completed
+    assert partition_digest(by_class, v) == partition_digest(syntactic, u)
+    assert by_class.stats()["seeded"] <= len(rels)
+    if case == "square-levels":
+        assert syntactic.merge_reasons()["faces"] > 0
+        assert by_class.merge_reasons()["faces"] > 0
+    assert audit_congruence(by_class).ok
+
+
+def test_class_closure_out_of_budget_queues_the_rest(quiver):
+    u = enumerate_free_magma(quiver, 2)
+    # the budget runs out in an early wave, before the heavier waves are keyed
+    session = CongruenceSession(u).saturate_over_classes(u.levels, budget=10)
+    assert not session.completed
+    assert session.stats()["processed"] == 10
+    f, g = by_text(u, "gen(f)"), by_text(u, "gen(g)")
+    assert decide_equal(session, f, g).witness["cause"] == "budget"
+    # every match is queued or covered by a seeded class tuple, so plain
+    # saturation finishes the same closure
+    session.saturate()
+    full = enumerate_free_magma(quiver, 2)
+    reference = CongruenceSession(full).seed(instantiate_relations(full)).saturate()
+    assert partition_digest(session, u) == partition_digest(reference, full)
+
+
+@st.composite
+def small_quivers(draw):
+    """Up to three objects and three direction-1 generators between them."""
+    objects = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    arrows = draw(
+        st.lists(st.tuples(st.sampled_from(objects), st.sampled_from(objects)), min_size=1, max_size=3)
+    )
+    names = [f"f{i}" for i in range(len(arrows))]
+    return CubicalSetPresentation(
+        TruncationConfig(max_dim=2, dir_universe=2, term_depth=2),
+        cells={(0, ()): objects, (1, (1,)): names},
+        faces={
+            (1, (1,), 1, "s"): {n: s for n, (s, _) in zip(names, arrows)},
+            (1, (1,), 1, "t"): {n: t for n, (_, t) in zip(names, arrows)},
+        },
+        name="random-quiver",
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=small_quivers(), cap=st.sampled_from([None, 7]))
+def test_class_closure_matches_the_syntactic_one_on_random_quivers(p, cap):
+    u = enumerate_free_magma(p, 2, size_cap=3)
+    syntactic = CongruenceSession(u).seed(instantiate_relations(u, max_side_size=cap)).saturate()
+    v = enumerate_free_magma(p, 2, size_cap=3)
+    by_class = CongruenceSession(v).saturate_over_classes(v.levels, max_side_size=cap)
+    assert syntactic.completed and by_class.completed
+    assert partition_digest(by_class, v) == partition_digest(syntactic, u)

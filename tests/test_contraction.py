@@ -13,7 +13,9 @@ from omegacube import (
     QuotientView,
     SetMorphism,
     TermBuilder,
+    TruncationConfig,
     build_free_contraction,
+    decide_equal,
     enumerate_free_magma,
     free_on_morphism,
     instantiate_relations,
@@ -282,16 +284,16 @@ def partition(session, universe):
 
 def build_with_stage_snapshots(monkeypatch, p, **kwargs):
     """Build, recording each stage's universe and its partition under the
-    shared session right after the stage saturates."""
+    shared session right after the stage closes over its classes."""
     snapshots = []
-    saturate = CongruenceSession.saturate
+    close = CongruenceSession.saturate_over_classes
 
-    def spy(self, budget=None):
-        out = saturate(self, budget)
+    def spy(self, levels, **kwargs):
+        out = close(self, levels, **kwargs)
         snapshots.append((self.universe, partition(self, self.universe)))
         return out
 
-    monkeypatch.setattr(CongruenceSession, "saturate", spy)
+    monkeypatch.setattr(CongruenceSession, "saturate_over_classes", spy)
     cd = build_free_contraction(p, **kwargs)
     monkeypatch.undo()
     return cd, snapshots
@@ -302,11 +304,11 @@ def build_with_stage_snapshots(monkeypatch, p, **kwargs):
     [
         (
             {"depth": 2, "size_cap": 3},
-            [(15, 6, 6), (918, 488, 868), (16690, 11303, 16637)],
+            [(15, 6, 6), (302, 167, 252), (1058, 669, 1005)],
         ),
         (
             {"depth": 2},
-            [(15, 6, 6), (3214, 1673, 3099), (64231, 44474, 64118)],
+            [(15, 6, 6), (854, 460, 739), (1747, 1053, 1634)],
         ),
     ],
     ids=["size-cap-3", "depth-2"],
@@ -336,3 +338,19 @@ def test_shared_session_matches_fresh_closure_per_stage(monkeypatch, quiver, kwa
          "completed": True}
         for nodes, seeded, merges in sessions
     ]
+
+
+# the source presentation and build settings of the contraction-rich benchmark
+W2_CONFIG = TruncationConfig(max_dim=2, dir_universe=2, term_depth=2)
+W2_BUILD = {"depth": 2, "size_cap": 3, "max_side_size": 12}
+
+
+def test_contraction_out_of_budget_ends_unknown():
+    p = two_generator_quiver(W2_CONFIG)
+    cd = build_free_contraction(p, budget=100, **W2_BUILD)
+    assert [s.session["completed"] for s in cd.stages] == [True, False, False]
+    u = cd.universe
+    f, g = (next(t for t in u.all_terms() if t.text == text) for text in ("gen(f)", "gen(g)"))
+    verdict = decide_equal(cd.session, f, g)
+    assert verdict.verdict == "unknown"
+    assert verdict.witness["cause"] == "budget"

@@ -268,6 +268,21 @@ def test_oracle_detects_a_dropped_relation_family():
     assert not report.contradictions
 
 
+@pytest.mark.parametrize("budget", [10, 100])
+def test_oracle_out_of_budget_drops_no_equal_pair(budget):
+    # the contraction-rich benchmark's source presentation and term bounds
+    p = two_generator_quiver(TruncationConfig(max_dim=2, dir_universe=2, term_depth=2))
+    bounds = {"depth": 2, "size_cap": 3, "max_side_size": 12}
+    full = oracle_compare(p, **bounds)
+    assert full.ok and full.session["completed"]
+    report = oracle_compare(p, budget=budget, **bounds)
+    assert not report.session["completed"]
+    assert report.session["processed"] == budget
+    assert not report.contradictions
+    # each pair the finished closure identifies is identified or listed incomplete
+    assert report.equal_pairs + len(report.incomplete) == full.equal_pairs
+
+
 def test_random_draws_are_seed_deterministic():
     tab = as_strict_table(pair_groupoid(3))
     a1 = random_assignment(QUIVER1, tab, random.Random(5))
