@@ -8,38 +8,22 @@ disagreement in either direction would be a bug in one of the two
 implementations.
 """
 
-import random
-
 from omegacube import (
     TruncationConfig,
     as_strict_table,
-    enumerate_free_magma,
-    normal_form_dim1,
     oracle_compare,
-    rewrite_normalize,
     truncated_free_involutive_category,
     two_generator_quiver,
     validate_involutive,
     validate_strict,
-    word_of_reduced,
 )
 
 cfg = TruncationConfig(max_dim=1, dir_universe=1, term_depth=5)
 quiver = two_generator_quiver(cfg)
 
-b_universe = enumerate_free_magma(quiver, 3)
-builder = b_universe.builder
-print("direct normal forms versus random rewriting:")
-rng = random.Random(0)
-for t in b_universe.level(1, (1,))[:6]:
-    direct = normal_form_dim1(t)
-    rewritten = word_of_reduced(rewrite_normalize(builder, t, rng))
-    marker = "ok" if direct == rewritten else "MISMATCH"
-    print(f"  {t.text:40s} -> {str(direct):8s} [{marker}]")
-
 trunc = truncated_free_involutive_category(quiver, max_len=3)
 view = as_strict_table(trunc)
-print(f"\ntruncated word category: {len(trunc.arrows)} arrows")
+print(f"truncated word category: {len(trunc.arrows)} arrows")
 for report in (validate_strict(view), validate_involutive(view)):
     print(f"  {report.summary()}")
 

@@ -10,7 +10,6 @@ projection law for every minted cell.
 """
 
 from omegacube import (
-    QuotientView,
     TruncationConfig,
     build_free_contraction,
     two_generator_quiver,
@@ -38,10 +37,5 @@ print("\n" + validate_contraction(data).summary())
 eta = unit_eta(data)
 print("unit " + validate_morphism(eta).summary())
 
-qv = QuotientView(data)
-reps = qv.representatives(1, (1,))
-print(f"\nquotient at level 1/1: {len(reps)} classes")
-f = next(t for t in data.universe.level(1, (1,)) if t.text == "gen(f)")
-g = next(t for t in data.universe.level(1, (1,)) if t.text == "gen(g)")
-print(f"  class composition: {qv.comp(1, qv.cls(g), qv.cls(f)).text}")
-print(f"  double dual returns the representative: {qv.dual(1, qv.dual(1, f)).text}")
+classes = data.session.classes(data.universe.level(1, (1,)))
+print(f"\nquotient at level 1/1: {len(classes)} classes")

@@ -21,7 +21,6 @@ from .contraction import (
     ContractionData,
     ContractionError,
     ContractionMorphism,
-    QuotientView,
     build_free_contraction,
     free_on_morphism,
     unit_eta,
@@ -32,25 +31,20 @@ from .contraction import (
 from .models import (
     InvolutiveOneCategory,
     ModelError,
-    OneCategory,
     OracleReport,
     Word1,
     as_strict_table,
     build_product,
     cyclic_group_category,
-    groupoid_involution,
     normal_form_dim1,
     oracle_compare,
     pair_groupoid,
     random_assignment,
     random_set_morphism,
-    rewrite_normalize,
     rich_loop_target,
     truncated_free_involutive_category,
     two_generator_quiver,
-    walking_arrow,
     walking_isomorphism,
-    word_of_reduced,
     word_oracle_sweep,
     word_separator,
 )

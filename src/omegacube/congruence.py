@@ -510,10 +510,6 @@ class CongruenceSession:
             for x, y, reason in steps
         ]
 
-    def class_representative(self, t: Term) -> Term:
-        """The smallest member of t's class, by (size, text)."""
-        return min(self.class_members(t), key=lambda m: m.sort_key)
-
     def stats(self) -> dict:
         return {
             "nodes": self._ingested,

@@ -10,9 +10,8 @@ directions 1..K yields a strict involutive cubical category whose
 level-(n, D) cells are tuples holding an arrow in the slots named by D
 and an object elsewhere, with every operation acting slotwise.  Third,
 independent oracles for dimension one: reduced words over the
-generating arrows, a randomized rewriting normalizer, and a
-length-truncated free involutive category that separates distinct
-words under evaluation.
+generating arrows, and a length-truncated free involutive category that
+separates distinct words under evaluation.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .term import (
     GEN,
     REFL,
     Term,
-    TermBuilder,
     TermError,
     enumerate_free_magma,
 )
@@ -39,17 +37,6 @@ from .term import (
 
 class ModelError(Exception):
     """Raised for tables that cannot form the requested structure."""
-
-
-@dataclass
-class OneCategory:
-    """A finite category: named objects and arrows, explicit tables."""
-
-    name: str
-    objects: list[str]
-    arrows: dict[str, tuple[str, str]]  # arrow -> (source, target)
-    compose: dict[tuple[str, str], str]  # (x, y) with src(x) = tgt(y) -> x after y
-    identity: dict[str, str]  # object -> identity arrow
 
 
 @dataclass
@@ -97,34 +84,6 @@ class InvolutiveOneCategory:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def groupoid_involution(c: OneCategory) -> InvolutiveOneCategory:
-    """Equip a finite groupoid with stars given by inverses.
-
-    Rejects the input, naming the witness, if some arrow has no
-    two-sided inverse.
-    """
-    star: dict[str, str] = {}
-    for f, (s, t) in c.arrows.items():
-        inverse = None
-        for g, (sg, tg) in c.arrows.items():
-            if (sg, tg) != (t, s):
-                continue
-            if c.compose.get((f, g)) == c.identity[t] and c.compose.get((g, f)) == c.identity[s]:
-                inverse = g
-                break
-        if inverse is None:
-            raise ModelError(f"arrow {f!r} of {c.name!r} is not invertible")
-        star[f] = inverse
-    return InvolutiveOneCategory(
-        name=f"{c.name}^grpd",
-        objects=list(c.objects),
-        arrows=dict(c.arrows),
-        compose=dict(c.compose),
-        identity=dict(c.identity),
-        star=star,
-    )
 
 
 # -- standard small categories ----------------------------------------
@@ -187,24 +146,6 @@ def cyclic_group_category(n: int) -> InvolutiveOneCategory:
         compose={(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)},
         identity={"e": "g0"},
         star={f"g{i}": f"g{(-i) % n}" for i in range(n)},
-    )
-
-
-def walking_arrow() -> OneCategory:
-    """Two objects and one non-invertible arrow; no involution exists."""
-    arrows = {"ia": ("a", "a"), "ib": ("b", "b"), "u": ("a", "b")}
-    compose = {
-        ("ia", "ia"): "ia",
-        ("ib", "ib"): "ib",
-        ("u", "ia"): "u",
-        ("ib", "u"): "u",
-    }
-    return OneCategory(
-        name="walking-arrow",
-        objects=["a", "b"],
-        arrows=arrows,
-        compose=compose,
-        identity={"a": "ia", "b": "ib"},
     )
 
 
@@ -417,96 +358,12 @@ def normal_form_dim1(t: Term) -> Word1:
     raise TermError(f"{t.text}: no dimension-1 normal form for kind {t.kind!r}")
 
 
-def rewrite_normalize(builder: TermBuilder, t: Term, rng) -> Term:
-    """Normalize a dimension-<=1 term by randomly ordered rewriting.
-
-    Applies one randomly chosen redex at a time: double-dual removal,
-    dual pushed through compositions and reflectors, unit deletion, and
-    right reassociation.  The system terminates and is confluent at
-    dimension one, so the result is independent of rng; tests exploit
-    exactly that.  A run longer than 10,000 steps raises.
-    """
-    b = builder
-
-    def redexes(node: Term, path: tuple[int, ...]) -> list[tuple[tuple[int, ...], str]]:
-        found = []
-        if node.kind == DUAL:
-            inner = node.body
-            if inner.kind == DUAL and inner.d == node.d:
-                found.append((path, "dual-dual"))
-            if inner.kind == COMP and inner.d == node.d:
-                found.append((path, "dual-comp"))
-            if inner.kind == REFL and inner.d == node.d:
-                found.append((path, "dual-refl"))
-        if node.kind == COMP:
-            if node.right.kind == REFL and node.right.d == node.d:
-                found.append((path, "unit-right"))
-            if node.left.kind == REFL and node.left.d == node.d:
-                found.append((path, "unit-left"))
-            if node.left.kind == COMP and node.left.d == node.d:
-                found.append((path, "reassoc"))
-        for i, a in enumerate(node.args):
-            found.extend(redexes(a, path + (i,)))
-        return found
-
-    def rewrite_at(node: Term, path: tuple[int, ...], rule: str) -> Term:
-        if path:
-            i = path[0]
-            args = list(node.args)
-            args[i] = rewrite_at(args[i], path[1:], rule)
-            if node.kind == REFL:
-                return b.refl(node.d, args[0])
-            if node.kind == DUAL:
-                return b.dual(node.d, args[0])
-            return b.comp(node.d, args[0], args[1])
-        if rule == "dual-dual":
-            return node.body.body
-        if rule == "dual-comp":
-            inner = node.body
-            return b.comp(node.d, b.dual(node.d, inner.right), b.dual(node.d, inner.left))
-        if rule == "dual-refl":
-            return node.body
-        if rule == "unit-right":
-            return node.left
-        if rule == "unit-left":
-            return node.right
-        if rule == "reassoc":
-            inner = node.left
-            return b.comp(node.d, inner.left, b.comp(node.d, inner.right, node.right))
-        raise TermError(f"unknown rewrite rule {rule!r}")  # pragma: no cover
-
-    current = t
-    for _ in range(10_000):
-        found = redexes(current, ())
-        if not found:
-            return current
-        path, rule = found[rng.randrange(len(found))]
-        current = rewrite_at(current, path, rule)
-    raise TermError("rewriting did not terminate within the step limit")
-
-
-def word_of_reduced(t: Term) -> Word1:
-    """Read the word off a fully rewritten dimension-1 term."""
-    if t.kind == REFL:
-        return Word1((), obj=t.body.cell.name)
-    letters: list[tuple[str, bool]] = []
-
-    def walk(node: Term) -> None:
-        if node.kind == GEN:
-            letters.append((node.cell.name, False))
-        elif node.kind == DUAL and node.body.kind == GEN:
-            letters.append((node.body.cell.name, True))
-        elif node.kind == COMP:
-            walk(node.left)
-            walk(node.right)
-        else:
-            raise TermError(f"{node.text} is not in reduced form")
-
-    walk(t)
-    return Word1(tuple(letters))
-
-
 # -- the separating model for dimension one ---------------------------
+
+# Composition is tabulated over all arrow pairs, so the table grows with
+# the square of this bound (the two-generator quiver at max_len=6 has 82
+# arrows, rich_loop_target at max_len=3 already 1,174).
+MAX_WORD_ARROWS = 2000
 
 
 def truncated_free_involutive_category(
@@ -522,7 +379,8 @@ def truncated_free_involutive_category(
     and compatible with the star, which reverses a word and flips its
     letters.  Evaluating a free term here computes its reduced word
     exactly as long as the word fits, which makes the category a
-    complete separator for terms below the bound.
+    complete separator for terms below the bound.  Raises ModelError
+    once there are more than MAX_WORD_ARROWS arrows.
     """
     objects = sorted(c.name for c in p.cells.get((0, ()), []))
     gens = p.cells.get((1, (direction,)), [])
@@ -554,6 +412,10 @@ def truncated_free_involutive_category(
             if name not in words:
                 words[name] = word
                 arrows[name] = (s, t)
+                if len(arrows) > MAX_WORD_ARROWS:
+                    raise ModelError(
+                        f"words up to length {max_len} exceed {MAX_WORD_ARROWS} arrows"
+                    )
                 for l, (ls, lt) in letters.items():
                     if lt == s:
                         next_frontier[word + (l,)] = (ls, t)
@@ -622,17 +484,18 @@ class OracleReport:
     """Outcome of playing the congruence against the word oracle."""
 
     universe_size: int
+    session: dict
     pairs: int = 0
     equal_pairs: int = 0
     not_equal_pairs: int = 0
     unknown_pairs: int = 0
     contradictions: list[dict] = field(default_factory=list)
     incomplete: list[dict] = field(default_factory=list)
-    session: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.contradictions and not self.incomplete and self.unknown_pairs == 0
+        done = self.session["completed"]
+        return done and not (self.contradictions or self.incomplete or self.unknown_pairs)
 
     def to_dict(self) -> dict:
         return {

@@ -253,19 +253,6 @@ class CubicalSetPresentation:
     def levels(self) -> list[LevelKey]:
         return sorted(self.cells.keys())
 
-    def enumerate_cells(self, dim: int, dirs) -> list[CellRef]:
-        """All cells at a level, in load order; empty for absent levels."""
-        dirs = make_dirs(dirs)
-        if dim != len(dirs):
-            raise PresentationError("dimension does not match direction count")
-        if dim > self.config.max_dim:
-            raise PresentationError(f"dimension {dim} exceeds max_dim {self.config.max_dim}")
-        if dirs and dirs[-1] > self.config.dir_universe:
-            raise PresentationError(
-                f"directions {dirs} not within universe 1..{self.config.dir_universe}"
-            )
-        return list(self.cells.get((dim, dirs), []))
-
     def cell(self, dim: int, dirs, name: str) -> CellRef:
         """The cell named ``name`` at level ``(dim, dirs)``.
 
@@ -475,16 +462,6 @@ class SetMorphism:
     def identity(cls, p: CubicalSetPresentation) -> "SetMorphism":
         maps = {lv: {c.name: c.name for c in refs} for lv, refs in p.cells.items()}
         return cls(p, p, maps, name="identity")
-
-    def compose(self, other: "SetMorphism") -> "SetMorphism":
-        """self after other; defined when other.target is self.source."""
-        if other.target is not self.source:
-            raise PresentationError("morphisms are not composable")
-        maps: dict[LevelKey, dict[str, str]] = {}
-        for level, table in other.maps.items():
-            mine = self.maps.get(level, {})
-            maps[level] = {k: mine[v] for k, v in table.items() if v in mine}
-        return SetMorphism(other.source, self.target, maps, name=f"{self.name}.{other.name}")
 
     def to_dict(self) -> dict:
         return {

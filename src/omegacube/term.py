@@ -338,21 +338,6 @@ class TermBuilder:
         self._faces[slot] = res
         return res
 
-    def iterated_faces(self, t: Term) -> set[Term]:
-        """t together with every face reachable by repeated boundaries."""
-        out: set[Term] = set()
-        stack = [t]
-        while stack:
-            cur = stack.pop()
-            if cur in out:
-                continue
-            out.add(cur)
-            for d in cur.dirs:
-                stack.append(self.boundary(cur, d, "s"))
-                stack.append(self.boundary(cur, d, "t"))
-        return out
-
-
 @dataclass
 class TermUniverse:
     """A finite, boundary-closed slice of the free term algebra.

@@ -9,6 +9,7 @@ from omegacube import (
     as_strict_table,
     cyclic_group_category,
     pair_groupoid,
+    rich_loop_target,
     truncated_free_involutive_category,
     two_generator_quiver,
     walking_isomorphism,
@@ -111,6 +112,28 @@ def test_decide_unknown_exits_nonzero(quiver_file):
     # distinct square classes, but the CLI wires no dim-2 separator yet
     rc = run(["decide", quiver_file, "--t1", "id[2](gen(f))", "--t2", "id[2](gen(g))"])
     assert rc == 1
+
+
+@pytest.fixture()
+def rich_file(tmp_path):
+    path = tmp_path / "rich.json"
+    rich_loop_target().to_file(path)
+    return str(path)
+
+
+def test_decide_without_a_word_model_is_unknown(rich_file, tmp_path):
+    # the rich target's words up to length 6 pass MAX_WORD_ARROWS
+    out = tmp_path / "decide.json"
+    argv = ["decide", rich_file, "--t1", "gen(Auv)", "--t2", "gen(Buv)", "--depth", "1"]
+    assert run(argv + ["--out", str(out)]) == 1
+    report = read_report(out)
+    assert report["verdict"] == "unknown"
+    assert report["witness"]["cause"] == "no-separator"
+
+
+def test_oracle_without_a_word_model_is_a_usage_error(rich_file, capsys):
+    assert run(["oracle", rich_file, "--depth", "0"]) == 2
+    assert "exceed 2000 arrows" in capsys.readouterr().err
 
 
 def word_category_file(tmp_path, plant=None):

@@ -10,7 +10,6 @@ from omegacube import (
     CongruenceSession,
     ContractionError,
     CubicalSetPresentation,
-    QuotientView,
     SetMorphism,
     TermBuilder,
     TruncationConfig,
@@ -224,6 +223,31 @@ def test_identity_morphism_extends_to_the_identity(contraction):
         assert ext.phi(t) is t
 
 
+# One wrong image is also seen at the faces of the terms above it, so
+# most faults report boundary-compat next to their own tag.
+@pytest.mark.parametrize(
+    "source, image, reported",
+    [
+        ("gen(a)", "gen(b)", {"on-generators", "boundary-compat"}),
+        ("dual[1](gen(f))", "gen(f)", {"boundary-compat"}),
+        ("id[2](gen(f))", "id[2](gen(g))", {"boundary-compat", "class-compat"}),
+        ("id[1](gen(a))", "dual[1](id[1](gen(a)))", {"boundary-compat", "kappa-compat"}),
+        # the target has no filler for the image pair (gen(g), gen(f))
+        (
+            "gen(f)",
+            "gen(g)",
+            {"on-generators", "boundary-compat", "class-compat", "kappa-compat"},
+        ),
+    ],
+)
+def test_planted_morphism_fault_is_reported_under_its_tag(contraction, source, image, reported):
+    ident = SetMorphism.identity(contraction.presentation)
+    ext = free_on_morphism(ident, contraction, contraction)
+    term_map = {**ext.term_map, by_text(contraction, source): by_text(contraction, image)}
+    report = validate_contraction_morphism(replace(ext, term_map=term_map))
+    assert {v.tag for v in report.violations} == reported
+
+
 def test_extended_morphism_rejects_terms_of_other_builders(contraction):
     p = contraction.presentation
     ext = free_on_morphism(SetMorphism.identity(p), contraction, contraction)
@@ -259,20 +283,13 @@ def test_morphisms_extend_with_naturality(quiver, seed_config, contraction):
     assert target.session.same(image, target.builder.refl(2, ext.phi(f)))
 
 
-def test_quotient_view_operations(contraction):
-    qv = QuotientView(contraction)
-    reps = qv.representatives(1, (1,))
-    assert len(reps) == 13
+def test_level_one_classes_of_the_contraction(contraction):
+    classes = contraction.session.classes(contraction.universe.level(1, (1,)))
+    assert len(classes) == 13
     f = by_text(contraction, "gen(f)")
-    g = by_text(contraction, "gen(g)")
     padded = by_text(contraction, "comp[1](gen(f),id[1](gen(a)))")
-    assert qv.cls(padded) is f
-    assert qv.comp(1, qv.cls(g), qv.cls(f)).text == "comp[1](gen(g),gen(f))"
-    a = by_text(contraction, "gen(a)")
-    assert qv.refl(1, a).text == "id[1](gen(a))"
-    assert qv.dual(1, qv.dual(1, f)) is f
-    with pytest.raises(ContractionError):
-        qv.comp(1, qv.cls(f), qv.cls(g))
+    # level lists are sorted by (size, text), so f leads its class
+    assert next(members for members in classes if padded in members)[0] is f
 
 
 def partition(session, universe):

