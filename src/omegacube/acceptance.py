@@ -280,15 +280,16 @@ def criterion_oracle_equivalence(seed: int = DEFAULT_SEED) -> dict:
     """Congruence verdicts match reduced words on every small pair."""
     start = perf_counter()
     p = two_generator_quiver(DIM1_CONFIG)
+    separator = word_separator(p)
     universe = enumerate_free_magma(p, ORACLE_DEPTH, size_cap=ORACLE_SIZE_CAP, max_stage_dim=1)
     session = CongruenceSession(universe).saturate_over_classes(
         universe.levels, max_side_size=ORACLE_SIDE_CAP
     )
-    report = word_oracle_sweep(session)
+    report = word_oracle_sweep(session, separator)
 
     # spot-check on the same closure that the three-valued front door
     # agrees with the sweep
-    separators = [word_separator(p)]
+    separators = [separator]
     rng = random.Random(seed)
     level_terms = universe.level(1, (1,))
     spot_checks = 0

@@ -73,13 +73,14 @@ def _matches(builder, levels, wanted: set[str], max_side_size: int | None):
     """
     for level, terms in levels.items():
         upper = reflector_dirs(builder.config, level)
-        for family, dirs, operands in ground_level(builder, level, terms, upper, wanted):
+        # every scheme has a side holding each operand once, so a side
+        # outgrows the operands' total: the cap is a room for ground_level,
+        # which never yields a match whose operands reach it
+        for family, dirs, operands in ground_level(
+            builder, level, terms, upper, wanted, max_side_size
+        ):
             if max_side_size is not None:
                 sizes = [t.size for t in operands]
-                # every scheme has a side holding each operand once, so a side
-                # outgrows the operands' total: most oversized matches stop there
-                if sum(sizes) >= max_side_size:
-                    continue
                 if max(SCHEMES[family](NODE_COUNTS, *dirs, *sizes)) > max_side_size:
                     continue
             yield family, dirs, operands
@@ -176,6 +177,7 @@ class CongruenceSession:
         self._pf_reason: list[object] = []
         self._images: dict[int, Evaluator] = {}
         self._seen: set[tuple] = set()
+        self._keyed_at = 0
         self._ingested = 0
         self.merges = 0
         self.processed = 0
@@ -444,19 +446,30 @@ class CongruenceSession:
                 return self
 
     def _seed_new_classes(self, matches) -> int:
-        """Seed the matches whose class key is new, after moving the seen
-        keys to the current roots; return how many were seeded."""
+        """Seed the matches whose class key is new; return how many were seeded.
+
+        The seen keys are first moved to the current roots, which only a
+        merge changes, so they are moved only when merges happened since
+        the last move.
+        """
         find = self.find
-        seen = self._seen = {(k[0], k[1], *map(find, k[2:])) for k in self._seen}
+        if self._keyed_at != self.merges:
+            self._seen = {(k[0], k[1], *map(find, k[2:])) for k in self._seen}
+            self._keyed_at = self.merges
+        seen = self._seen
         b = self.builder
-        fresh = []
+        pending = self._pending
+        fresh = 0
         for family, dirs, operands in matches:
             key = (family, dirs, *[find(t.nid) for t in operands])
             if key not in seen:
                 seen.add(key)
-                fresh.append(RelationInstance(family, *_SIDES[family](b, *dirs, *operands)))
-        self.seed(fresh)
-        return len(fresh)
+                left, right = _SIDES[family](b, *dirs, *operands)
+                pending.append((left.nid, right.nid, ("seed", family, fresh), None))
+                fresh += 1
+        self.seeded += fresh
+        self.completed = False
+        return fresh
 
     # explanations ----------------------------------------------------
 
@@ -573,20 +586,21 @@ def decide_equal(
     and the term alone, never on the closure, so later seeding and
     saturation leave them valid.
     """
-    if t1.level != t2.level:
+    # the level is compared field by field, without building either tuple
+    if t1.dim != t2.dim or t1.dirs != t2.dirs:
         raise TermError(
             f"terms live at different levels {format_level(t1.level)} "
             f"and {format_level(t2.level)}"
         )
     arena = session.builder.terms
-    for t in (t1, t2):
-        if t.nid >= len(arena) or arena[t.nid] is not t:
-            raise TermError(
-                "decide_equal expects terms built by the session's own builder"
-            )
-    if t1.nid >= session._ingested or t2.nid >= session._ingested:
+    n1, n2 = t1.nid, t2.nid
+    if n1 >= len(arena) or arena[n1] is not t1 or n2 >= len(arena) or arena[n2] is not t2:
+        raise TermError("decide_equal expects terms built by the session's own builder")
+    # both terms are the session's own, so once ingested they are known
+    if n1 >= session._ingested or n2 >= session._ingested:
         session.saturate()
-    if session.same(t1, t2):
+    find = session.find
+    if find(n1) == find(n2):
         return Decision("equal", {"trace": session._explain(t1, t2)})
     applied = 0
     images = session._images
@@ -595,19 +609,25 @@ def decide_equal(
         ev = images.get(id(assignment))
         if ev is None or ev.assignment is not assignment:
             ev = images[id(assignment)] = Evaluator(assignment)
+        # a repeated term reads its image straight from the evaluator's memo
+        memo = ev._cache
+        v1 = memo.get(t1)
+        v2 = memo.get(t2)
         try:
-            v1 = ev.eval(t1)
-            v2 = ev.eval(t2)
+            if v1 is None:
+                v1 = ev.eval(t1)
+            if v2 is None:
+                v2 = ev.eval(t2)
         except EvalError:
             continue
-        if v1 != v2:
+        if v1 is not v2 and v1 != v2:
             return Decision(
                 "not-equal",
                 {
                     "separator": i,
                     "target": assignment.target.name or "model",
-                    "left_value": str(v1),
-                    "right_value": str(v2),
+                    "left_value": v1.text,
+                    "right_value": v2.text,
                 },
             )
         applied += 1

@@ -525,14 +525,15 @@ def oracle_compare(
     The full relation set (or the given families) is closed over the
     universe's classes; word_oracle_sweep then judges the closure.
     """
+    separator = word_separator(p)
     universe = enumerate_free_magma(p, depth, size_cap=size_cap, max_stage_dim=1)
     session = CongruenceSession(universe).saturate_over_classes(
         universe.levels, families=families, max_side_size=max_side_size, budget=budget
     )
-    return word_oracle_sweep(session)
+    return word_oracle_sweep(session, separator)
 
 
-def word_oracle_sweep(session: CongruenceSession) -> OracleReport:
+def word_oracle_sweep(session: CongruenceSession, separator: GeneratorAssignment) -> OracleReport:
     """Compare congruence verdicts with reduced words on every pair.
 
     Sweeps all unordered same-level pairs of objects and of direction-1
@@ -541,10 +542,12 @@ def word_oracle_sweep(session: CongruenceSession) -> OracleReport:
     identified terms with different words, or separated terms with
     equal words.  Pairs with equal words that the closure failed to
     identify are listed as incomplete; pairs the word separator cannot
-    tell apart count as unknown.
+    tell apart count as unknown.  separator is the word_separator of the
+    universe's presentation; callers build it before the closure, so an
+    input too large for the word model fails before any closure work.
     """
     universe = session.universe
-    ev = Evaluator(word_separator(universe.presentation))
+    ev = Evaluator(separator)
     report = OracleReport(universe_size=universe.size, session=session.stats())
     for level, terms in sorted(universe.levels.items()):
         if level[1] not in ((), (1,)):

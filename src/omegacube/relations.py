@@ -131,7 +131,7 @@ def composable_pairs(A, elems: list, d: int) -> list:
     return [(x, y) for x in elems for y in targets.get(A.boundary(x, d, "s"), [])]
 
 
-def ground_level(A, level: LevelKey, elems: list, upper: list[int], families):
+def ground_level(A, level: LevelKey, elems: list, upper: list[int], families, room=None):
     """Yield (family, directions, operands) for every scheme match at a level.
 
     elems are the level's elements of the algebra A, upper the
@@ -140,17 +140,34 @@ def ground_level(A, level: LevelKey, elems: list, upper: list[int], families):
     equal faces are one object; interned terms and a presentation's
     indexed cells both are.  The order of the matches is part of the
     contract: instantiate_relations returns the instances in this order.
+
+    room, when given, bounds the operand sizes: no match is yielded
+    whose operands' ``.size`` add up to room or more, and the test sits
+    in the loop that adds the last operand, so an oversized match is
+    never built.  The elements and their faces need a ``.size`` then;
+    the word problem passes its side cap, and the model validators,
+    whose cells have no size, pass no room.  With a room the matches
+    are the unbounded ones in the same order, less the oversized.
     """
     dim, dirs = level
     boundary = A.boundary
+    sized = room is not None
     for x in elems:
+        # sizes are never negative, so every match over an x this large
+        # is oversized
+        if sized and x.size >= room:
+            continue
         for d in dirs:
             if "involutive" in families:
                 yield "involutive", (d,), (x,)
             if "unit-right" in families:
-                yield "unit-right", (d,), (x, boundary(x, d, "s"))
+                s = boundary(x, d, "s")
+                if not sized or x.size + s.size < room:
+                    yield "unit-right", (d,), (x, s)
             if "unit-left" in families:
-                yield "unit-left", (d,), (x, boundary(x, d, "t"))
+                t = boundary(x, d, "t")
+                if not sized or x.size + t.size < room:
+                    yield "unit-left", (d,), (x, t)
             if "star-commute" in families:
                 for e in dirs:
                     if e > d:
@@ -164,6 +181,9 @@ def ground_level(A, level: LevelKey, elems: list, upper: list[int], families):
 
     for d in dirs:
         pairs = composable_pairs(A, elems, d)
+        if sized:
+            # a pair too large on its own is too large under any third operand
+            pairs = [(x, y) for x, y in pairs if x.size + y.size < room]
         for x, y in pairs:
             if "star-antihomo" in families:
                 yield "star-antihomo", (d,), (x, y)
@@ -177,7 +197,11 @@ def ground_level(A, level: LevelKey, elems: list, upper: list[int], families):
         if "assoc" in families:
             targets = _by_target(A, elems, d)
             for x, y in pairs:
-                for z in targets.get(boundary(y, d, "s"), []):
+                zs = targets.get(boundary(y, d, "s"), ())
+                if sized:
+                    left = room - x.size - y.size
+                    zs = [z for z in zs if z.size < left]
+                for z in zs:
                     yield "assoc", (d,), (x, y, z)
 
     if "exchange" in families and dim >= 2:
@@ -193,5 +217,7 @@ def ground_level(A, level: LevelKey, elems: list, upper: list[int], families):
                         sy_f = boundary(y, f, "s")
                         for w in ws:
                             for z in e_targets.get(boundary(w, e, "s"), []):
-                                if boundary(z, f, "t") is sy_f:
+                                if boundary(z, f, "t") is sy_f and (
+                                    not sized or x.size + y.size + w.size + z.size < room
+                                ):
                                     yield "exchange", (e, f), (x, y, w, z)

@@ -146,9 +146,22 @@ class TermBuilder:
             if t.nid >= len(terms) or terms[t.nid] is not t:
                 raise TermError(f"{t.text} was built by another builder")
 
-    def _new(self, key: tuple, **fields) -> Term:
-        # callers look the key up first, so a hit skips validation and text
-        node = Term(nid=len(self.terms), **fields)
+    def _new(
+        self,
+        key: tuple,
+        kind: str,
+        d: int,
+        cell: CellRef | None,
+        args: tuple[Term, ...],
+        dim: int,
+        dirs: Dirs,
+        size: int,
+        weight: int,
+        text: str,
+    ) -> Term:
+        # callers look the key up first, so a hit skips validation and text;
+        # Term is built positionally, which costs about half a keyword build
+        node = Term(len(self.terms), kind, d, cell, args, dim, dirs, size, weight, text)
         self.terms.append(node)
         self._intern[key] = node
         self._faces.extend([None] * self._stride)

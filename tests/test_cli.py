@@ -5,6 +5,7 @@ import json
 import pytest
 
 from omegacube import (
+    CongruenceSession,
     TruncationConfig,
     as_strict_table,
     cyclic_group_category,
@@ -131,9 +132,15 @@ def test_decide_without_a_word_model_is_unknown(rich_file, tmp_path):
     assert report["witness"]["cause"] == "no-separator"
 
 
-def test_oracle_without_a_word_model_is_a_usage_error(rich_file, capsys):
-    assert run(["oracle", rich_file, "--depth", "0"]) == 2
-    assert "exceed 2000 arrows" in capsys.readouterr().err
+def test_oracle_without_a_word_model_is_a_usage_error(rich_file, capsys, monkeypatch):
+    # the word model is built first, so the closure never runs
+    def spy(*args, **kwargs):
+        raise AssertionError("saturate_over_classes ran before the word model failed")
+
+    monkeypatch.setattr(CongruenceSession, "saturate_over_classes", spy)
+    for depth in ("0", "1"):
+        assert run(["oracle", rich_file, "--depth", depth]) == 2
+        assert "words up to length 6 exceed 2000 arrows" in capsys.readouterr().err
 
 
 def word_category_file(tmp_path, plant=None):

@@ -94,8 +94,6 @@ def test_depth_three_instances_per_family(quiver, cap):
 
 
 def test_every_scheme_has_a_side_larger_than_its_operands(quiver):
-    # instantiate_relations drops a match under max_side_size as soon as its
-    # operands alone reach the cap, which is exact only while this holds
     u = enumerate_free_magma(quiver, 3)
     seen = set()
     for level, terms in u.levels.items():
@@ -125,6 +123,33 @@ def test_each_scheme_is_checked_by_exactly_one_validator(monkeypatch, iso_square
     assert set(grounded["strict"]) | set(grounded["involutive"]) == schemes
     assert not set(grounded["strict"]) & set(grounded["involutive"])
     assert involutive.checked == sum(grounded["involutive"].values())
+
+
+def ground_all(u, room=None):
+    """Every match over u's levels as (family, directions, operand nids)."""
+    out = []
+    for level, terms in u.levels.items():
+        upper = reflector_dirs(u.builder.config, level)
+        for family, dirs, operands in ground_level(
+            u.builder, level, terms, upper, set(FAMILIES), room
+        ):
+            out.append((family, dirs, tuple(t.nid for t in operands)))
+    return out
+
+
+def test_grounding_within_a_room_drops_only_the_oversized_matches(quiver):
+    # the word problem passes its side cap as ground_level's room, so no
+    # match whose operands reach the cap is generated; this is exact
+    # because every scheme has a side larger than its operands (above)
+    u, _, cap = closure_case("oracle-dim1", quiver)
+    terms = u.builder.terms
+    unbounded = ground_all(u)
+    assert len(unbounded) == 223249
+    for room in (5, 9, 13):
+        fitting = [m for m in unbounded if sum(terms[n].size for n in m[2]) < room]
+        assert ground_all(u, room) == fitting
+    assert len(ground_all(u, cap)) == 25960
+    assert len(instantiate_relations(u, max_side_size=cap)) == 13009
 
 
 def test_instantiation_rejects_unknown_families(universe3):
@@ -445,6 +470,13 @@ def test_decide_equal_rejects_foreign_terms(saturated, quiver):
     u = saturated.universe
     with pytest.raises(TermError):
         decide_equal(saturated, by_text(u, "gen(a)"), by_text(u, "gen(f)"))
+    # one dimension, different directions: the level test compares both
+    with pytest.raises(TermError, match="different levels"):
+        decide_equal(saturated, by_text(u, "id[1](gen(a))"), by_text(u, "id[2](gen(a))"))
+    own = by_text(u, "gen(f)")
+    for pair in ((own, foreign), (foreign, own)):
+        with pytest.raises(TermError, match="own builder"):
+            decide_equal(saturated, *pair)
 
 
 def test_audit_confirms_the_fixpoint(saturated):
@@ -632,6 +664,12 @@ def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
     assert len(session._seen) == 1787
     assert session.stats()["nodes"] < saturated.stats()["nodes"] // 20
     assert audit_congruence(session).ok
+    # a second call over the same levels finds every class tuple seen: no
+    # merge happened since the last scan, so the keys are not moved again
+    stats = session.stats()
+    session.saturate_over_classes(u.levels)
+    assert session.stats() == stats
+    assert len(session._seen) == 1787
 
 
 def closure_case(name, quiver):
