@@ -12,7 +12,6 @@ from omegacube import (
     TruncationConfig,
     decide_equal,
     enumerate_free_magma,
-    instantiate_relations,
     two_generator_quiver,
     word_separator,
 )
@@ -22,8 +21,7 @@ quiver = two_generator_quiver(cfg)
 universe = enumerate_free_magma(quiver, depth=3)
 print(f"universe: {universe.size} terms, per level {universe.counts()}")
 
-relations = instantiate_relations(universe)
-session = CongruenceSession(universe).seed(relations).saturate()
+session = CongruenceSession(universe).saturate_over_classes(universe.levels)
 print(f"saturated: {session.stats()}")
 
 b = universe.builder

@@ -217,12 +217,18 @@ def criterion_free_magma_soundness() -> dict:
 
 def criterion_relation_provability(seed: int = DEFAULT_SEED) -> dict:
     """Every grounded relation instance is decided Equal, and identified
-    terms agree under evaluation into product models."""
+    terms agree under evaluation into product models.
+
+    The universe is closed over its classes.  Then every syntactic
+    instance is built into the arena and saturated with no further
+    seed, so an instance the class closure missed stays unproved.
+    """
     start = perf_counter()
     p = two_generator_quiver(SEED_CONFIG)
     universe = enumerate_free_magma(p, depth=PROVABILITY_DEPTH)
+    session = CongruenceSession(universe).saturate_over_classes(universe.levels)
     relations = instantiate_relations(universe)
-    session = CongruenceSession(universe).seed(relations).saturate()
+    session.saturate()
     unproved = [
         r for r in relations
         if decide_equal(session, r.left, r.right).verdict != "equal"

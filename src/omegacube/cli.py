@@ -18,10 +18,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .acceptance import DEFAULT_SEED, run_all
-from .congruence import CongruenceSession, decide_equal, instantiate_relations
+from .congruence import CongruenceSession, decide_equal
 from .contraction import ContractionError, build_free_contraction, validate_contraction
 from .models import (
     InvolutiveOneCategory,
@@ -77,24 +76,8 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _apply_overrides(p: CubicalSetPresentation, args) -> CubicalSetPresentation:
-    max_dim = getattr(args, "max_dim", None)
-    dirs = getattr(args, "dirs", None)
-    if max_dim is None and dirs is None:
-        return p
-    cfg = p.config
-    cfg = replace(
-        cfg,
-        max_dim=max_dim if max_dim is not None else cfg.max_dim,
-        dir_universe=dirs if dirs is not None else cfg.dir_universe,
-    )
-    return CubicalSetPresentation(config=cfg, cells=p.cells, faces=p.faces, name=p.name)
-
-
-def _load_presentation(path: str, args) -> CubicalSetPresentation:
-    data = _load_json(path)
-    p = CubicalSetPresentation.from_dict(data, name=os.path.basename(path))
-    return _apply_overrides(p, args)
+def _load_presentation(path: str) -> CubicalSetPresentation:
+    return CubicalSetPresentation.from_dict(_load_json(path), name=os.path.basename(path))
 
 
 def _is_table(data: dict) -> bool:
@@ -106,19 +89,12 @@ def cmd_validate(args) -> int:
     name = os.path.basename(args.path)
     if _is_table(data):
         table = StrictCategoryTable.from_dict(data, name=name)
-        table = StrictCategoryTable(
-            underlying=_apply_overrides(table.underlying, args),
-            refl=table.refl,
-            dual=table.dual,
-            comp=table.comp,
-            name=table.name,
-        )
         kind = "strict-table"
         # validate_strict runs validate_quiver and validate_cubical_axioms too
         reports = [validate_strict(table), validate_involutive(table)]
         config = table.underlying.config
     else:
-        p = _load_presentation(args.path, args)
+        p = CubicalSetPresentation.from_dict(data, name=name)
         kind = "presentation"
         reports = [validate_quiver(p), validate_cubical_axioms(p)]
         config = p.config
@@ -142,7 +118,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    p = _load_presentation(args.path, args)
+    p = _load_presentation(args.path)
     depth = args.depth if args.depth is not None else p.config.term_depth
     universe = enumerate_free_magma(p, depth=depth)
     terms = {
@@ -208,15 +184,16 @@ def _require_valid_category(category: InvolutiveOneCategory, what: str) -> None:
 
 
 def cmd_decide(args) -> int:
-    p = _load_presentation(args.path, args)
+    p = _load_presentation(args.path)
     builder = TermBuilder(p)
     t1 = parse_term(args.t1, builder)
     t2 = parse_term(args.t2, builder)
     depth = args.depth if args.depth is not None else p.config.term_depth
     depth = max(depth, t1.weight, t2.weight)
     universe = enumerate_free_magma(builder, depth=depth)
-    relations = instantiate_relations(universe)
-    session = CongruenceSession(universe).seed(relations).saturate(args.budget)
+    session = CongruenceSession(universe).saturate_over_classes(
+        universe.levels, budget=args.budget
+    )
 
     separators = []
     if t1.level == t2.level:
@@ -267,7 +244,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    p = _load_presentation(args.path, args)
+    p = _load_presentation(args.path)
     depth = args.depth if args.depth is not None else p.config.term_depth
     data = build_free_contraction(p, depth=depth, budget=args.budget)
     invariants = validate_contraction(data)
@@ -329,7 +306,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    p = _load_presentation(args.path, args)
+    p = _load_presentation(args.path)
     depth = args.depth if args.depth is not None else 5
     report_obj = oracle_compare(p, depth=depth, budget=args.budget)
     report = {
@@ -357,6 +334,13 @@ def cmd_check_all(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _count(text: str) -> int:
+    """A non-negative int for --depth and --budget."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omega-cube",
@@ -370,16 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="check a presentation or strict table")
     sp.add_argument("path")
-    sp.add_argument("--max-dim", type=int, help="override the truncation dimension")
-    sp.add_argument("--dirs", type=int, help="override the direction universe size")
     add_common(sp)
     sp.set_defaults(handler=cmd_validate)
 
     sp = sub.add_parser("enumerate", help="enumerate the term universe")
     sp.add_argument("path")
-    sp.add_argument("--depth", type=int, help="operation-count bound per term")
-    sp.add_argument("--max-dim", type=int)
-    sp.add_argument("--dirs", type=int)
+    sp.add_argument("--depth", type=_count, help="operation-count bound per term")
     add_common(sp)
     sp.set_defaults(handler=cmd_enumerate)
 
@@ -387,15 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("path")
     sp.add_argument("--t1", required=True, help='first term, e.g. "comp[1](gen(g),gen(f))"')
     sp.add_argument("--t2", required=True, help="second term")
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--depth", type=_count)
+    sp.add_argument("--budget", type=_count)
     sp.add_argument(
         "--separator",
         action="append",
         help="involutive category JSON used to certify inequality (repeatable)",
     )
-    sp.add_argument("--max-dim", type=int)
-    sp.add_argument("--dirs", type=int)
     add_common(sp)
     sp.set_defaults(handler=cmd_decide)
 
@@ -407,10 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("contract", help="build and certify a free contraction")
     sp.add_argument("path")
-    sp.add_argument("--max-dim", type=int)
-    sp.add_argument("--dirs", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--depth", type=_count)
+    sp.add_argument("--budget", type=_count)
     add_common(sp)
     sp.set_defaults(handler=cmd_contract)
 
@@ -423,10 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="play the congruence against reduced words")
     sp.add_argument("path")
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--max-dim", type=int)
-    sp.add_argument("--dirs", type=int)
+    sp.add_argument("--depth", type=_count)
+    sp.add_argument("--budget", type=_count)
     add_common(sp)
     sp.set_defaults(handler=cmd_oracle)
 

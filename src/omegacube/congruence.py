@@ -5,16 +5,17 @@ structure is generated by the relation schemes of the relations module.
 A universe holding contraction cells adds one more scheme, identifying
 each contraction cell with the reflector of its source.
 
-instantiate_relations grounds every scheme over a finite term universe,
-building every match; CongruenceSession saturates the resulting pair
-set with a union-find plus signature-table closure.  Callers that need
-only the partition use CongruenceSession.saturate_over_classes instead,
-which seeds one instance per family, directions and tuple of operand
-classes and rescans to a checked fixpoint (Downey, Sethi and Tarjan's
-congruence closure with the rules fired per class, as equality
-saturation does), so the arena follows the number of classes rather
-than the number of matches, and the partition of the universe is the
-same.
+Every workflow closes a universe with
+CongruenceSession.saturate_over_classes, a union-find plus
+signature-table closure that seeds one instance per family, directions
+and tuple of operand classes and rescans to a checked fixpoint (Downey,
+Sethi and Tarjan's congruence closure with the rules fired per class,
+as equality saturation does), so the arena follows the number of
+classes rather than the number of matches.  instantiate_relations
+grounds every scheme over the universe, building every match; it is
+the syntactic reference the class closure is checked against: the
+relation-provability criterion builds every instance into the closed
+session, seeds nothing more, and requires each one decided Equal.
 
 A congruence here must be closed under faces as well, so whenever the
 merge queue drains, one face pass over the pairs merged since the last
@@ -54,16 +55,11 @@ from .term import GEN, KAPPA, Term, TermError, TermUniverse
 _SIDES = {**SCHEMES, "contraction-projection": lambda A, d, k, x: (k, A.refl(d, x))}
 
 
-def _wanted(families) -> set[str]:
-    if families is None:
-        return set(FAMILIES)
-    unknown = set(families) - set(FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown relation families {sorted(unknown)}")
-    return set(families)
+# ground_level tests family membership for every element, so it gets a set
+_ALL_FAMILIES = frozenset(FAMILIES)
 
 
-def _matches(builder, levels, wanted: set[str], max_side_size: int | None):
+def _matches(builder, levels, max_side_size: int | None):
     """Yield (family, directions, operands) for every relation match.
 
     Per level, the scheme matches come in ground_level's order, then one
@@ -77,41 +73,34 @@ def _matches(builder, levels, wanted: set[str], max_side_size: int | None):
         # outgrows the operands' total: the cap is a room for ground_level,
         # which never yields a match whose operands reach it
         for family, dirs, operands in ground_level(
-            builder, level, terms, upper, wanted, max_side_size
+            builder, level, terms, upper, _ALL_FAMILIES, max_side_size
         ):
             if max_side_size is not None:
                 sizes = [t.size for t in operands]
                 if max(SCHEMES[family](NODE_COUNTS, *dirs, *sizes)) > max_side_size:
                     continue
             yield family, dirs, operands
-        if "contraction-projection" in wanted:
-            for t in terms:
-                if t.kind == KAPPA:
-                    yield "contraction-projection", (t.d,), (t, t.left)
+        for t in terms:
+            if t.kind == KAPPA:
+                yield "contraction-projection", (t.d,), (t, t.left)
 
 
 def instantiate_relations(
-    universe: TermUniverse,
-    *,
-    families: set[str] | None = None,
-    max_side_size: int | None = None,
+    universe: TermUniverse, *, max_side_size: int | None = None
 ) -> list[RelationInstance]:
     """Ground every relation scheme over the terms of a universe.
 
     This builds every match, so it is the syntactic reference that
-    CongruenceSession.saturate_over_classes is held to.  families
-    restricts to a subset of scheme tags (useful for planting omissions
-    in tests); max_side_size skips instances either side of which would
-    exceed the given node count, without building them.  Each
-    contraction cell of the universe gets its projection instance; such
-    cells exist only where admit_kappa_pair certified the pair.
+    CongruenceSession.saturate_over_classes is checked against.
+    max_side_size skips instances either side of which would exceed the
+    given node count, without building them.  Each contraction cell of
+    the universe gets its projection instance; such cells exist only
+    where admit_kappa_pair certified the pair.
     """
     b = universe.builder
     return [
         RelationInstance(family, *_SIDES[family](b, *dirs, *operands))
-        for family, dirs, operands in _matches(
-            b, universe.levels, _wanted(families), max_side_size
-        )
+        for family, dirs, operands in _matches(b, universe.levels, max_side_size)
     ]
 
 
@@ -343,10 +332,6 @@ class CongruenceSession:
         self.completed = False
         return self
 
-    def merge_terms(self, a: Term, b: Term) -> None:
-        self._pending.append((a.nid, b.nid, ("seed", "manual", -1), None))
-        self.completed = False
-
     def saturate(self, budget: int | None = None) -> "CongruenceSession":
         """Process pending merges until fixpoint or until the budget runs out.
 
@@ -388,7 +373,6 @@ class CongruenceSession:
         self,
         levels,
         *,
-        families: set[str] | None = None,
         max_side_size: int | None = None,
         budget: int | None = None,
     ) -> "CongruenceSession":
@@ -396,7 +380,7 @@ class CongruenceSession:
         per class tuple of operands.
 
         levels maps a level to its terms, as TermUniverse.levels does;
-        families and max_side_size restrict the matches as they do for
+        max_side_size restricts the matches as it does for
         instantiate_relations.  A match is keyed by its family, its
         directions and the classes of its operands, and only a match
         whose key the session has not seen is built and seeded.  The
@@ -428,7 +412,7 @@ class CongruenceSession:
             budget = b.config.saturation_budget
         stop = self.processed + budget
         waves: dict[int, list] = {}
-        for match in _matches(b, levels, _wanted(families), max_side_size):
+        for match in _matches(b, levels, max_side_size):
             family, _, operands = match
             # projections come first: each puts a filler in a reflector's
             # class before any wave keys a match over that filler

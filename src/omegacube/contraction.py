@@ -20,12 +20,12 @@ Each stage's universe contains the previous one, so the shared closure
 partitions the stage's universe as a fresh closure of its full
 instance set does.  Identification is the session's verdict at the
 current stage, so pairs the budgeted closure cannot identify are simply
-not contracted (and can be logged against separating models).
+not contracted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .congruence import CongruenceSession
 from .presentation import (
@@ -36,7 +36,6 @@ from .presentation import (
     ValidationReport,
 )
 from .relations import reflector_dirs
-from .strict import Evaluator, EvalError
 from .term import (
     COMP,
     DUAL,
@@ -67,7 +66,6 @@ class ContractionStage:
     universe_size: int
     kappa_added: int
     session: dict
-    excluded_pairs: list[tuple[str, str]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -75,7 +73,6 @@ class ContractionStage:
             "universe_size": self.universe_size,
             "kappa_added": self.kappa_added,
             "session": dict(self.session),
-            "excluded_pairs": [list(p) for p in self.excluded_pairs],
         }
 
 
@@ -130,7 +127,6 @@ def build_free_contraction(
     depth: int | None = None,
     size_cap: int | None = None,
     budget: int | None = None,
-    separators: list = (),
     max_side_size: int | None = None,
 ) -> ContractionData:
     """Build the free contraction over a presentation, stage by stage.
@@ -145,10 +141,8 @@ def build_free_contraction(
     size_cap bounds the node count of enumerated terms; wide
     presentations need it because filler admission grows with the
     square of class sizes and composites over fillers compound that.
-
-    separators, when given, are only used to classify unidentified
-    pairs for the stage log: a pair no separator distinguishes is
-    recorded as excluded-but-undecided rather than silently dropped.
+    Pairs the closure leaves apart, including those a budget cut short,
+    get no filler.
     """
     builder = TermBuilder(p)
     cfg = builder.config
@@ -175,13 +169,11 @@ def build_free_contraction(
         grounded.update(changed)
         session.saturate_over_classes(changed, max_side_size=max_side_size, budget=budget)
         added = 0
-        excluded: list[tuple[str, str]] = []
         for level, terms in sorted(universe.levels.items()):
             upper = reflector_dirs(cfg, level)
             if level[0] != n or not upper:
                 continue
-            groups = session.classes(terms)
-            for members in groups:
+            for members in session.classes(terms):
                 for i, x in enumerate(members):
                     for y in members[i + 1 :]:
                         builder.admit_kappa_pair(x, y)
@@ -196,15 +188,12 @@ def build_free_contraction(
                                     # the universe alongside the filler
                                     atoms.append(builder.refl(d, a))
                                     added += 1
-            if separators:
-                excluded.extend(_log_undecided(groups, separators))
         stages.append(
             ContractionStage(
                 dim=n,
                 universe_size=universe.size,
                 kappa_added=added,
                 session=session.stats(),
-                excluded_pairs=excluded,
             )
         )
     return ContractionData(
@@ -215,31 +204,6 @@ def build_free_contraction(
         kappa=kappa_table,
         stages=stages,
     )
-
-
-def _log_undecided(groups, separators) -> list[tuple[str, str]]:
-    """Cross-class pairs no separator tells apart: candidates lost to budget."""
-    heads = [members[0] for members in groups]
-    images = []
-    for assignment in separators:
-        ev = Evaluator(assignment)
-        level_images = {}
-        for t in heads:
-            try:
-                level_images[t.nid] = ev.eval(t)
-            except EvalError:
-                level_images[t.nid] = None
-        images.append(level_images)
-    out = []
-    for i, x in enumerate(heads):
-        for y in heads[i + 1 :]:
-            separated = any(
-                imgs[x.nid] is not None and imgs[y.nid] is not None and imgs[x.nid] != imgs[y.nid]
-                for imgs in images
-            )
-            if not separated:
-                out.append((x.text, y.text))
-    return out
 
 
 def validate_contraction(cd: ContractionData) -> ValidationReport:

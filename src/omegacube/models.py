@@ -17,7 +17,6 @@ separates distinct words under evaluation.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -518,17 +517,16 @@ def oracle_compare(
     size_cap: int | None = 6,
     budget: int | None = None,
     max_side_size: int | None = None,
-    families: Iterable[str] | None = None,
 ) -> OracleReport:
     """Saturate the dimension-<=1 universe, then sweep it against words.
 
-    The full relation set (or the given families) is closed over the
-    universe's classes; word_oracle_sweep then judges the closure.
+    The full relation set is closed over the universe's classes;
+    word_oracle_sweep then judges the closure.
     """
     separator = word_separator(p)
     universe = enumerate_free_magma(p, depth, size_cap=size_cap, max_stage_dim=1)
     session = CongruenceSession(universe).saturate_over_classes(
-        universe.levels, families=families, max_side_size=max_side_size, budget=budget
+        universe.levels, max_side_size=max_side_size, budget=budget
     )
     return word_oracle_sweep(session, separator)
 

@@ -381,13 +381,6 @@ class TermUniverse:
         for level in sorted(self.levels):
             yield from self.levels[level]
 
-    def __contains__(self, t: Term) -> bool:
-        # terms hash by identity, so a term of another builder is never a member
-        return t in self._members
-
-    def __post_init__(self) -> None:
-        self._members = {t for terms in self.levels.values() for t in terms}
-
     def counts(self) -> dict[str, int]:
         return {format_level(lv): len(ts) for lv, ts in sorted(self.levels.items())}
 
@@ -418,6 +411,8 @@ def enumerate_free_magma(
     cfg = builder.config
     if depth is None:
         depth = cfg.term_depth
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     dim_cap = cfg.max_dim if max_stage_dim is None else min(max_stage_dim, cfg.max_dim)
 
     members: set[int] = set()

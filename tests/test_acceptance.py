@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from omegacube import acceptance
+from omegacube import CongruenceSession, acceptance
 from omegacube.cli import run
 
 SEED = acceptance.DEFAULT_SEED
@@ -48,14 +48,35 @@ def test_free_magma_enumeration_is_sound_and_exactly_counted(results):
 def test_every_relation_instance_is_provable_and_audited(results):
     payload = results["relation-provability"]
     details = payload["details"]
-    assert details["instances"] > 0
+    assert details["instances"] == 51196
     assert details["proved_fraction"] == 1.0
     assert details["universe_size"] <= details["universe_cap"]
     assert details["closure_audit_ok"]
     assert details["assignments"] == 100
     assert details["evaluation_violations"] == []
-    assert details["session"]["completed"]
+    # seeded over classes; the syntactic instances are built and checked
+    # by congruence alone
+    assert details["session"] == {
+        "nodes": 93825, "seeded": 2125, "merges": 93570, "processed": 93570, "completed": True
+    }
     verdict(payload)
+
+
+def test_the_instance_check_reports_what_the_class_closure_missed(monkeypatch):
+    # a class closure that never seeds star-antihomo leaves some of those
+    # syntactic instances unproved, and no others
+    real = CongruenceSession._seed_new_classes
+
+    def dropping(session, matches):
+        return real(session, [m for m in matches if m[0] != "star-antihomo"])
+
+    monkeypatch.setattr(CongruenceSession, "_seed_new_classes", dropping)
+    payload = acceptance.criterion_relation_provability(SEED)
+    details = payload["details"]
+    assert not payload["ok"]
+    # 1,233 of the 51,196 instances stay unproved
+    assert details["proved_fraction"] == (51196 - 1233) / 51196
+    assert all(r.startswith("<star-antihomo: ") for r in details["unproved"])
 
 
 def test_dim_one_closure_matches_the_word_oracle(results):

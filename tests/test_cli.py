@@ -109,10 +109,51 @@ def test_decide_separated_pair(quiver_file, capsys):
     assert "not-equal" in capsys.readouterr().out
 
 
-def test_decide_unknown_exits_nonzero(quiver_file):
+SQUARES = ["--t1", "id[2](gen(f))", "--t2", "id[2](gen(g))"]
+
+
+def test_decide_unknown_exits_nonzero(quiver_file, tmp_path):
     # distinct square classes, but the CLI wires no dim-2 separator yet
-    rc = run(["decide", quiver_file, "--t1", "id[2](gen(f))", "--t2", "id[2](gen(g))"])
-    assert rc == 1
+    out = tmp_path / "decide.json"
+    assert run(["decide", quiver_file, *SQUARES, "--out", str(out)]) == 1
+    witness = read_report(out)["witness"]
+    assert witness["cause"] == "no-separator"
+    # decide closes over classes; the syntactic closure of the same
+    # universe seeds 51,196 instances and builds 93,825 nodes
+    assert witness["session"]["seeded"] == 2125
+    assert witness["session"]["nodes"] == 3770
+    assert witness["session"]["completed"]
+
+
+def test_decide_out_of_budget_is_unknown(quiver_file, tmp_path):
+    out = tmp_path / "decide.json"
+    assert run(["decide", quiver_file, *SQUARES, "--budget", "5", "--out", str(out)]) == 1
+    report = read_report(out)
+    assert report["config"]["budget"] == 5
+    assert report["verdict"] == "unknown"
+    assert report["witness"]["cause"] == "budget"
+    assert report["witness"]["session"]["processed"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [sub, flag, value]
+        for sub in ("enumerate", "decide", "contract", "oracle")
+        for flag in ("--depth", "--budget")
+        for value in ("-1", "-2")
+        if (sub, flag) != ("enumerate", "--budget")
+    ],
+    ids=" ".join,
+)
+def test_negative_counts_are_usage_errors(quiver_file, capsys, argv):
+    # a negative --depth once crashed enumerate and ran oracle and
+    # contract over an empty universe
+    sub, *rest = argv
+    if sub == "decide":
+        rest += SQUARES
+    assert run([sub, quiver_file, *rest]) == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -16,6 +16,7 @@ from omegacube import (
     FAMILIES,
     GeneratorAssignment,
     KappaError,
+    RelationInstance,
     TermError,
     TermBuilder,
     TruncationConfig,
@@ -152,18 +153,13 @@ def test_grounding_within_a_room_drops_only_the_oversized_matches(quiver):
     assert len(instantiate_relations(u, max_side_size=cap)) == 13009
 
 
-def test_instantiation_rejects_unknown_families(universe3):
-    with pytest.raises(ValueError):
-        instantiate_relations(universe3, families={"assoc", "frobenius"})
-
-
 def test_instances_pair_terms_at_one_level(universe3):
-    rels = instantiate_relations(universe3, families={"unit-left", "involutive"})
+    rels = instantiate_relations(universe3)
     assert rels
     for rel in rels:
         assert rel.left.level == rel.right.level
     # a universe without filler cells has no projection instances
-    assert not instantiate_relations(universe3, families={"contraction-projection"})
+    assert "contraction-projection" not in {r.family for r in rels}
 
 
 def test_certified_pair_yields_a_filler_and_its_projection(quiver):
@@ -187,8 +183,11 @@ def test_certified_pair_yields_a_filler_and_its_projection(quiver):
 
 
 def test_side_size_cap_prunes_instances(universe3):
-    full = instantiate_relations(universe3, families={"assoc"})
-    slim = instantiate_relations(universe3, families={"assoc"}, max_side_size=7)
+    def assoc(rels):
+        return [r for r in rels if r.family == "assoc"]
+
+    full = assoc(instantiate_relations(universe3))
+    slim = assoc(instantiate_relations(universe3, max_side_size=7))
     assert 0 < len(slim) < len(full)
     assert all(max(r.left.size, r.right.size) <= 7 for r in slim)
 
@@ -617,7 +616,7 @@ def test_manual_merges_propagate_to_faces(quiver):
     f = by_text(u, "gen(f)")
     g = by_text(u, "gen(g)")
     assert not session.same(by_text(u, "gen(a)"), by_text(u, "gen(b)"))
-    session.merge_terms(f, g)
+    session.seed([RelationInstance("manual", f, g)])
     session.saturate()
     # endpoints follow the merged arrows
     assert session.same(by_text(u, "gen(a)"), by_text(u, "gen(b)"))
@@ -670,6 +669,17 @@ def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
     session.saturate_over_classes(u.levels)
     assert session.stats() == stats
     assert len(session._seen) == 1787
+    # every syntactic instance, built into the arena, is closed by
+    # congruence alone: the seed merges stay those of the class closure
+    seed_merges = session.merge_reasons()["seed"]
+    assert seed_merges == 1936
+    rels = instantiate_relations(u)
+    session.saturate()
+    assert session.merge_reasons()["seed"] == seed_merges
+    assert all(session.same(r.left, r.right) for r in rels)
+    assert session.stats() == {
+        "nodes": 93825, "seeded": 2125, "merges": 93570, "processed": 93570, "completed": True
+    }
 
 
 def closure_case(name, quiver):

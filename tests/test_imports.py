@@ -1,5 +1,6 @@
-"""Every module-level import of the package is used by its module, and
-every parameter of a package function is read by its body."""
+"""Every module-level import of the package is used by its module, every
+parameter of a package function is read by its body, and every
+keyword-only parameter is set by some caller."""
 
 import ast
 from pathlib import Path
@@ -131,3 +132,65 @@ def test_every_export_is_reached_from_a_workflow():
         if _home(binds, key) not in reached and key[1] not in README_ENTRY_POINTS
     )
     assert unreached == []
+
+
+# Where a knob counts as set: the package, the demos and the benchmark
+# harness, not the tests.
+CALLER_DIRS = ("src", "demos", "perfbench")
+
+
+def _keyword_only_parameters() -> set[tuple[str, str]]:
+    """(function name, parameter) for every keyword-only parameter."""
+    return {
+        (node.name, p.arg)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for p in node.args.kwonlyargs
+    }
+
+
+def _keyword_settings(knobs: set) -> tuple[set, set]:
+    """The knobs some call passes a value, and the knob-to-knob forwards.
+
+    A call sets a knob when it passes the keyword, matched by callee
+    name, unless the value is only the calling function's own
+    keyword-only parameter: that call forwards the caller's knob, and
+    is returned as a (caller knob, callee knob) edge instead.
+    """
+    concrete: set[tuple[str, str]] = set()
+    forwards: set[tuple[tuple[str, str], tuple[str, str]]] = set()
+
+    def visit(node: ast.AST, caller: ast.FunctionDef | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            caller = node
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for kw in node.keywords:
+                knob = (callee, kw.arg)
+                if knob not in knobs:
+                    continue
+                own = caller and isinstance(kw.value, ast.Name) and (caller.name, kw.value.id)
+                if own in knobs:
+                    forwards.add((own, knob))
+                else:
+                    concrete.add(knob)
+        for child in ast.iter_child_nodes(node):
+            visit(child, caller)
+
+    root = PACKAGE.parent.parent
+    for folder in CALLER_DIRS:
+        for path in sorted((root / folder).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return concrete, forwards
+
+
+def test_every_keyword_only_parameter_is_set_by_a_workflow():
+    knobs = _keyword_only_parameters()
+    assert knobs
+    reached, forwards = _keyword_settings(knobs)
+    while more := {knob for own, knob in forwards if own in reached} - reached:
+        reached |= more
+    assert sorted(f"{name}({param})" for name, param in knobs - reached) == []

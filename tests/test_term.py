@@ -136,19 +136,17 @@ def test_enumeration_is_monotone_and_boundary_closed(quiver):
     texts2 = {t.text for t in u2.all_terms()}
     assert texts1 <= texts2
     b = u2.builder
-    for t in u2.all_terms():
+    # terms hash by identity, so this holds terms of u2's builder only
+    members = set(u2.all_terms())
+    for t in members:
         for d in t.dirs:
             for side in ("s", "t"):
-                assert b.boundary(t, d, side) in u2
+                assert b.boundary(t, d, side) in members
 
 
-def test_universe_membership_rejects_terms_of_other_builders(quiver):
-    u = enumerate_free_magma(quiver, 1)
-    strangers = list(gens(TermBuilder(quiver)).values())
-    member_nids = {t.nid for t in u.all_terms()}
-    assert all(t.nid in member_nids for t in strangers)
-    assert not any(t in u for t in strangers)
-    assert all(t in u for t in u.all_terms())
+def test_enumeration_rejects_a_negative_depth(quiver):
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        enumerate_free_magma(quiver, -1)
 
 
 def test_constructors_reject_terms_of_other_builders(quiver):
