@@ -112,9 +112,6 @@ class Decision:
     verdict: str  # "equal" | "not-equal" | "unknown"
     witness: dict
 
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "witness": self.witness}
-
 
 class CongruenceSession:
     """Union-find over one builder arena, saturated against seeded pairs.
@@ -187,10 +184,6 @@ class CongruenceSession:
         self._require_known(a)
         self._require_known(b)
         return self.find(a.nid) == self.find(b.nid)
-
-    def class_members(self, t: Term) -> list[Term]:
-        self._require_known(t)
-        return [self.builder.terms[n] for n in _ring(self._next, self.find(t.nid))]
 
     def classes(self, terms) -> list[list[Term]]:
         """Group terms by class, in the order of each group's first member."""
@@ -457,8 +450,9 @@ class CongruenceSession:
 
     # explanations ----------------------------------------------------
 
-    def explain(self, a: Term, b: Term) -> list[dict]:
-        """A chain of proof-forest edges connecting two equal terms.
+    def _explain(self, a: Term, b: Term) -> list[dict]:
+        """A chain of proof-forest edges connecting two terms of one class;
+        decide_equal returns it as the witness of an Equal verdict.
 
         Both ends climb towards the root in turn, each recording the
         nodes it has passed; the first node one climb finds on the
@@ -466,12 +460,6 @@ class CongruenceSession:
         the meet instead of the root.  A path in a tree is unique, so
         the chain is the one a walk to the root would give.
         """
-        if not self.same(a, b):
-            raise TermError(f"{a.text} and {b.text} are not in the same class")
-        return self._explain(a, b)
-
-    def _explain(self, a: Term, b: Term) -> list[dict]:
-        """explain for a pair already known to share a class."""
         if a is b:
             return []
 

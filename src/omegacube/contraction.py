@@ -32,7 +32,6 @@ from .presentation import (
     CubicalSetPresentation,
     LevelKey,
     SetMorphism,
-    TruncationConfig,
     ValidationReport,
 )
 from .relations import reflector_dirs
@@ -87,10 +86,6 @@ class ContractionData:
     kappa: dict[tuple[int, int, int], Term]  # (direction, source nid, target nid)
     stages: list[ContractionStage]
 
-    @property
-    def config(self) -> TruncationConfig:
-        return self.presentation.config
-
     def kappa_of(self, d: int, x: Term, y: Term) -> Term:
         """The chosen filler from x to y in direction d."""
         try:
@@ -107,10 +102,6 @@ class ContractionData:
                 "the pair was not identified when its stage was built"
             )
         return node
-
-    def refresh(self) -> None:
-        """Fold nodes created after the build into the word problem."""
-        self.session.saturate()
 
     def to_report_dict(self) -> dict:
         return {
@@ -220,7 +211,7 @@ def validate_contraction(cd: ContractionData) -> ValidationReport:
     report = ValidationReport(subject="contraction")
     b = cd.builder
     session = cd.session
-    cfg = cd.config
+    cfg = cd.builder.config
 
     expected: set[tuple[int, int, int]] = set()
     for level, terms in sorted(cd.universe.levels.items()):
@@ -386,7 +377,8 @@ def free_on_morphism(
 
     for t in source.universe.all_terms():
         phi(t)
-    target.refresh()
+    # fold the nodes the map built into the target's word problem
+    target.session.saturate()
     return ContractionMorphism(source=source, target=target, f=f, term_map=term_map)
 
 

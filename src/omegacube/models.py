@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .congruence import CongruenceSession
-from .presentation import CubicalSetPresentation, SetMorphism, TruncationConfig
+from .presentation import (
+    CubicalSetPresentation,
+    SetMorphism,
+    TruncationConfig,
+    json_object,
+    name_table,
+)
 from .strict import GeneratorAssignment, Evaluator, StrictCategoryTable
 from .term import (
     COMP,
@@ -62,22 +68,21 @@ class InvolutiveOneCategory:
     @classmethod
     def from_dict(cls, data: dict) -> "InvolutiveOneCategory":
         try:
-            compose = {(x, y): z for x, y, z in data["compose"]}
-            return cls(
+            arrows = json_object(data["arrows"], "arrows")
+            c = cls(
                 name=data.get("name", ""),
                 objects=list(data["objects"]),
-                arrows={k: (v[0], v[1]) for k, v in data["arrows"].items()},
-                compose=compose,
-                identity=dict(data["identity"]),
-                star=dict(data["star"]),
+                arrows={k: (s, t) for k, (s, t) in arrows.items()},
+                compose={(x, y): z for x, y, z in data["compose"]},
+                identity=dict(name_table(data["identity"], "identity")),
+                star=dict(name_table(data["star"], "star")),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelError(f"malformed category data: {exc}") from None
-
-    @classmethod
-    def from_file(cls, path: str) -> "InvolutiveOneCategory":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        ends = [n for st in c.arrows.values() for n in st]
+        if any(not isinstance(n, str) for n in [*c.objects, *ends, *c.compose.values()]):
+            raise ModelError("malformed category data: every object and arrow is named by a string")
+        return c
 
     def to_file(self, path: str) -> None:
         with open(path, "w") as fh:

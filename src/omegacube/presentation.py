@@ -43,6 +43,21 @@ def make_dirs(dirs) -> Dirs:
     return out
 
 
+def json_object(data, what: str) -> dict:
+    """data, if it is a JSON object; loaders call this on every object
+    they read, so input of the wrong shape is a PresentationError."""
+    if not isinstance(data, dict):
+        raise PresentationError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def name_table(data, what: str) -> dict[str, str]:
+    """data, if it is a JSON object from names to names."""
+    if any(not isinstance(v, str) for v in json_object(data, what).values()):
+        raise PresentationError(f"{what} must map names to names")
+    return data
+
+
 def dirs_without(dirs: Dirs, d: int) -> Dirs:
     return tuple(e for e in dirs if e != d)
 
@@ -88,9 +103,11 @@ class TruncationConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "TruncationConfig":
         known = {"max_dim", "dir_universe", "term_depth", "saturation_budget"}
-        extra = set(data) - known
+        extra = set(json_object(data, "config")) - known
         if extra:
             raise PresentationError(f"unknown config keys {sorted(extra)}")
+        if any(type(v) is not int for v in data.values()):
+            raise PresentationError(f"config values must be integers, got {data!r}")
         return cls(**data)
 
 
@@ -144,14 +161,6 @@ class ValidationReport:
     def merge(self, other: "ValidationReport") -> None:
         self.checked += other.checked
         self.violations.extend(other.violations)
-
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "checked": self.checked,
-            "ok": self.ok,
-            "violations": [v.to_dict() for v in self.violations],
-        }
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.violations)} violation(s)"
@@ -317,10 +326,12 @@ class CubicalSetPresentation:
             raise PresentationError("presentation data must be an object with a 'config' key")
         config = TruncationConfig.from_dict(data["config"])
         cells: dict[LevelKey, list[str]] = {}
-        for key, names in data.get("cells", {}).items():
-            cells[parse_level(key)] = list(names)
+        for key, names in json_object(data.get("cells", {}), "cells").items():
+            if not isinstance(names, list):
+                raise PresentationError(f"cells at {key!r} must be a list of names")
+            cells[parse_level(key)] = names
         faces: dict[tuple[int, Dirs, int, str], dict[str, str]] = {}
-        for key, table in data.get("faces", {}).items():
+        for key, table in json_object(data.get("faces", {}), "faces").items():
             parts = key.rsplit("/", 2)
             if len(parts) != 3:
                 raise PresentationError(f"malformed face key {key!r}")
@@ -330,17 +341,8 @@ class CubicalSetPresentation:
             except ValueError:
                 raise PresentationError(f"malformed face key {key!r}") from None
             side = parts[2]
-            faces[(level[0], level[1], d, side)] = dict(table)
+            faces[(level[0], level[1], d, side)] = name_table(table, f"face table {key!r}")
         return cls(config, cells, faces, name=name)
-
-    @classmethod
-    def from_file(cls, path: str) -> "CubicalSetPresentation":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise PresentationError(f"{path}: not valid JSON ({exc})") from None
-        return cls.from_dict(data, name=path)
 
     def to_file(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -457,16 +459,6 @@ class SetMorphism:
         if table is None or cell.name not in table:
             raise PresentationError(f"morphism undefined on {cell}")
         return self.target.cell(cell.dim, cell.dirs, table[cell.name])
-
-    @classmethod
-    def identity(cls, p: CubicalSetPresentation) -> "SetMorphism":
-        maps = {lv: {c.name: c.name for c in refs} for lv, refs in p.cells.items()}
-        return cls(p, p, maps, name="identity")
-
-    def to_dict(self) -> dict:
-        return {
-            "maps": {format_level(lv): dict(sorted(t.items())) for lv, t in sorted(self.maps.items())}
-        }
 
 
 def validate_morphism(f: SetMorphism) -> ValidationReport:

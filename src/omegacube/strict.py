@@ -21,7 +21,6 @@ the unique structure-preserving extension of the assignment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -35,6 +34,8 @@ from .presentation import (
     ValidationReport,
     dirs_with,
     format_level,
+    json_object,
+    name_table,
     parse_level,
     validate_cubical_axioms,
     validate_morphism,
@@ -129,34 +130,25 @@ class StrictCategoryTable:
                 raise PresentationError(f"malformed operation key {key!r}") from None
             return (level[0], level[1], d)
 
-        refl = {parse_op_key(k): dict(t) for k, t in data.get("refl", {}).items()}
-        dual = {parse_op_key(k): dict(t) for k, t in data.get("dual", {}).items()}
+        def tables(op: str) -> dict:
+            return {
+                parse_op_key(k): dict(name_table(t, f"{op} table {k!r}"))
+                for k, t in json_object(data.get(op, {}), op).items()
+            }
+
+        refl, dual = tables("refl"), tables("dual")
         comp: dict[OpKey, dict[tuple[str, str], str]] = {}
-        for k, triples in data.get("comp", {}).items():
+        for k, triples in json_object(data.get("comp", {}), "comp").items():
             table: dict[tuple[str, str], str] = {}
             for entry in triples:
-                if len(entry) != 3:
+                if not (isinstance(entry, list) and len(entry) == 3):
                     raise PresentationError(f"comp entry {entry!r} is not a triple")
+                if any(not isinstance(n, str) for n in entry):
+                    raise PresentationError(f"comp entry {entry!r} names a non-string")
                 x, y, z = entry
                 table[(x, y)] = z
             comp[parse_op_key(k)] = table
         return cls(underlying, refl, dual, comp, name=name)
-
-    @classmethod
-    def from_file(cls, path: str) -> "StrictCategoryTable":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise PresentationError(f"{path}: not valid JSON ({exc})") from None
-        return cls.from_dict(data, name=path)
-
-    def to_file(self, path: str) -> None:
-        data = self.to_dict()
-        # JSON objects need string keys; comp entries are already triples
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def validate_strict(c: StrictCategoryTable) -> ValidationReport:
@@ -358,13 +350,6 @@ class GeneratorAssignment:
     def validate(self) -> ValidationReport:
         return validate_morphism(self.as_set_morphism())
 
-    def to_dict(self) -> dict:
-        return {
-            "maps": {
-                format_level(lv): dict(sorted(t.items())) for lv, t in sorted(self.maps.items())
-            }
-        }
-
     @classmethod
     def from_dict(
         cls,
@@ -373,7 +358,10 @@ class GeneratorAssignment:
         target: StrictCategoryTable,
         name: str = "",
     ) -> "GeneratorAssignment":
-        maps = {parse_level(k): dict(t) for k, t in data.get("maps", {}).items()}
+        maps = {
+            parse_level(k): dict(name_table(t, f"maps at {k!r}"))
+            for k, t in json_object(data.get("maps", {}), "maps").items()
+        }
         return cls(source, target, maps, name=name)
 
 

@@ -365,10 +365,6 @@ class TermUniverse:
     truncated: bool
 
     @property
-    def presentation(self) -> CubicalSetPresentation:
-        return self.builder.presentation
-
-    @property
     def size(self) -> int:
         return sum(len(v) for v in self.levels.values())
 

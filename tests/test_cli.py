@@ -38,6 +38,11 @@ def read_report(path):
         return json.load(fh)
 
 
+def write_table(path, table):
+    """Write a strict table as JSON, the form product --out writes."""
+    path.write_text(json.dumps(table.to_dict()))
+
+
 def test_validate_presentation(quiver_file, tmp_path):
     out = tmp_path / "report.json"
     assert run(["validate", quiver_file, "--out", str(out)]) == 0
@@ -47,7 +52,7 @@ def test_validate_presentation(quiver_file, tmp_path):
 
 def test_validate_strict_table(tmp_path):
     path = tmp_path / "table.json"
-    as_strict_table(pair_groupoid(2)).to_file(path)
+    write_table(path, as_strict_table(pair_groupoid(2)))
     out = tmp_path / "report.json"
     assert run(["validate", str(path), "--out", str(out)]) == 0
     report = read_report(out)
@@ -78,6 +83,75 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
     bad.write_text("{]")
     assert run(["validate", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _category(**changes):
+    return {**pair_groupoid(2).to_dict(), **changes}
+
+
+def _presentation(**changes):
+    return {**two_generator_quiver().to_dict(), **changes}
+
+
+def _table(**changes):
+    return {**as_strict_table(pair_groupoid(2)).to_dict(), **changes}
+
+
+def _short_arrow():
+    return _category(arrows={**pair_groupoid(2).to_dict()["arrows"], "p12": ["o2"]})
+
+
+# Each input parses as JSON but has the wrong shape somewhere: the
+# subcommand, then the file it reads and the arguments after that file.
+MALFORMED = {
+    "category arrow of one object": ("product", _short_arrow(), []),
+    "category arrows as a list": ("product", _category(arrows=[]), []),
+    "separator arrow of one object": (
+        "decide",
+        _short_arrow(),
+        ["--t1", "gen(f)", "--t2", "gen(g)", "--depth", "0"],
+    ),
+    "presentation cells as a list": ("validate", _presentation(cells=[]), []),
+    "level names as a number": ("validate", _presentation(cells={"0/": 5}), []),
+    "config as a list": ("validate", _presentation(config=[]), []),
+    "max_dim as a string": (
+        "validate",
+        _presentation(config={**TruncationConfig().to_dict(), "max_dim": "2"}),
+        [],
+    ),
+    "table refl as a list": ("validate", _table(refl=[]), []),
+    "assignment maps as a list": (
+        "eval",
+        {"source": two_generator_quiver().to_dict(), "maps": []},
+        ["--term", "gen(f)"],
+    ),
+    "face naming a list": (
+        "validate",
+        _presentation(faces={"1/1/1/s": {"f": [], "g": "b"}, "1/1/1/t": {"f": "b", "g": "c"}}),
+        [],
+    ),
+    "dual naming a list": ("validate", _table(dual={"1/1/1": {"p12": []}}), []),
+    "comp entry naming a list": ("validate", _table(comp={"1/1/1": [[["p11"], "p11", "p11"]]}), []),
+    "category star naming a list": ("product", _category(star={"p12": []}), []),
+    "category composite naming a list": ("product", _category(compose=[["p11", "p11", []]]), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_shapes_are_usage_errors(case, quiver_file, tmp_path, capsys):
+    subcommand, data, rest = MALFORMED[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    table = tmp_path / "table.json"
+    write_table(table, as_strict_table(walking_isomorphism()))
+    argv = {
+        "product": ["product", str(path)],
+        "decide": ["decide", quiver_file, "--separator", str(path)],
+        "validate": ["validate", str(path)],
+        "eval": ["eval", str(table), "--assign", str(path)],
+    }[subcommand]
+    assert run(argv + rest) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_enumerate_reports_exact_counts(quiver_file, tmp_path):
@@ -319,7 +393,7 @@ def test_eval_rejects_a_mistyped_assignment(iso_file, tmp_path, quiver_file):
         )
     )
     table_path = tmp_path / "iso_table.json"
-    as_strict_table(walking_isomorphism()).to_file(table_path)
+    write_table(table_path, as_strict_table(walking_isomorphism()))
     rc = run(["eval", str(table_path), "--assign", str(assign_path), "--term", "gen(f)"])
     assert rc == 2
 

@@ -33,12 +33,20 @@ from omegacube import (
 )
 from omegacube import strict
 from omegacube.acceptance import DIM1_CONFIG, ORACLE_DEPTH, ORACLE_SIDE_CAP, ORACLE_SIZE_CAP
+from omegacube.congruence import _ring
 from omegacube.relations import NODE_COUNTS, SCHEMES, ground_level, reflector_dirs
 from omegacube.term import KAPPA
 
 
 def by_text(universe, text):
     return next(t for t in universe.all_terms() if t.text == text)
+
+
+def trace(session, a, b):
+    """The merge trace of an Equal verdict on a and b."""
+    decision = decide_equal(session, a, b)
+    assert decision.verdict == "equal"
+    return decision.witness["trace"]
 
 
 def test_family_catalogue_is_fixed():
@@ -237,8 +245,8 @@ def test_representative_is_the_smallest_member(saturated):
     b = u.builder
     f = by_text(u, "gen(f)")
     padded = b.comp(1, b.refl(1, by_text(u, "gen(b)")), f)
-    members = saturated.class_members(padded)
-    assert f in members and padded in members
+    members = [t for t in u.all_terms() if saturated.find(t.nid) == saturated.find(f.nid)]
+    assert padded in members
     assert min(members, key=lambda m: m.sort_key) is f
 
 
@@ -248,16 +256,14 @@ def test_explain_produces_a_connected_chain(saturated):
     f = by_text(u, "gen(f)")
     t1 = b.dual(1, b.dual(1, f))
     t2 = b.comp(1, f, b.refl(1, by_text(u, "gen(a)")))
-    steps = saturated.explain(t1, t2)
+    steps = trace(saturated, t1, t2)
     assert steps
     chain = [t1.text] + [s["right"] for s in steps]
     assert chain[-1] == t2.text
     for prev, step in zip(chain, steps):
         assert step["left"] == prev
         assert step["by"]
-    assert saturated.explain(f, f) == []
-    with pytest.raises(TermError):
-        saturated.explain(f, by_text(u, "gen(g)"))
+    assert trace(saturated, f, f) == []
 
 
 def test_traces_of_every_depth_three_instance_are_pinned(saturated):
@@ -266,13 +272,13 @@ def test_traces_of_every_depth_three_instance_are_pinned(saturated):
     assert len(rels) == 51196
     h = hashlib.sha256()
     for r in rels:
-        h.update(json.dumps(saturated.explain(r.left, r.right)).encode())
+        h.update(json.dumps(trace(saturated, r.left, r.right)).encode())
     assert h.hexdigest() == "407c257a4c9537d75b021d70310946b148174a0f53481593896eb373fd8d08e5"
 
 
 def full_path_explain(session, a, b):
     """Reference trace: walk both proof-forest paths to the root, then cut
-    them at the first shared node; kept apart from the session's explain."""
+    them at the first shared node; kept apart from the session's own walk."""
     parent, why = session._pf_parent, session._pf_reason
     if a is b:
         return []
@@ -314,9 +320,9 @@ def test_explain_matches_the_full_path_walk_inside_every_universe_class(saturate
     for members in classes:
         for a in members:
             for b in members:
-                steps = saturated.explain(a, b)
+                steps = trace(saturated, a, b)
                 assert steps == full_path_explain(saturated, a, b)
-                assert saturated.explain(b, a) == reversed_trace(steps)
+                assert trace(saturated, b, a) == reversed_trace(steps)
                 pairs += 1
                 longest = max(longest, len(steps))
     assert pairs == 802
@@ -333,9 +339,9 @@ def test_explain_matches_the_full_path_walk_on_random_arena_pairs(saturated):
     for _ in range(20000):
         a = rng.choice(nodes)
         b = rng.choice(by_root[saturated.find(a)])
-        steps = saturated.explain(terms[a], terms[b])
+        steps = trace(saturated, terms[a], terms[b])
         assert steps == full_path_explain(saturated, terms[a], terms[b])
-        assert saturated.explain(terms[b], terms[a]) == reversed_trace(steps)
+        assert trace(saturated, terms[b], terms[a]) == reversed_trace(steps)
 
 
 def test_decide_equal_three_verdicts(saturated, quiver):
@@ -407,14 +413,12 @@ def test_separator_images_are_memoised_per_session(monkeypatch, small_closure, q
     calls = counted_applies(monkeypatch)
     session = CongruenceSession(u).seed(rels).saturate()
     first = decide_equal(session, f, g, [sep])
-    assert first.to_dict() == {
-        "verdict": "not-equal",
-        "witness": {
-            "separator": 0,
-            "target": "free-words-6(two-generator-quiver)",
-            "left_value": "1/1:f",
-            "right_value": "1/1:g",
-        },
+    assert first.verdict == "not-equal"
+    assert first.witness == {
+        "separator": 0,
+        "target": "free-words-6(two-generator-quiver)",
+        "left_value": "1/1:f",
+        "right_value": "1/1:g",
     }
     assert len(calls) == 2
     # the same pair again evaluates nothing
@@ -496,10 +500,11 @@ def test_class_members_walk_the_whole_class(saturated):
     groups = {}
     for t in ingested:
         groups.setdefault(saturated.find(t.nid), set()).add(t.nid)
+    # the successor rings that audit_congruence walks
     for root, nids in groups.items():
-        members = saturated.class_members(saturated.builder.terms[root])
+        members = _ring(saturated._next, root)
         assert len(members) == len(nids)
-        assert {m.nid for m in members} == nids
+        assert set(members) == nids
 
 
 def partition_digest(session, universe):

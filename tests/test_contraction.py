@@ -33,6 +33,11 @@ def by_text(cd, text):
     return next(t for t in cd.universe.all_terms() if t.text == text)
 
 
+def identity_map(p):
+    """The identity morphism of a presentation."""
+    return SetMorphism(p, p, {lv: {c.name: c.name for c in refs} for lv, refs in p.cells.items()})
+
+
 @pytest.fixture()
 def scratch(quiver):
     """A private size-capped build that mutation tests may deface."""
@@ -85,7 +90,7 @@ def test_diagonal_requests_collapse_to_reflectors(contraction):
     b = contraction.builder
     requests = 0
     for level, terms in contraction.universe.levels.items():
-        for d in reflector_dirs(contraction.config, level):
+        for d in reflector_dirs(contraction.builder.config, level):
             for t in terms:
                 assert b.kappa(d, t, t) is b.refl(d, t)
                 assert contraction.kappa_of(d, t, t) is b.refl(d, t)
@@ -215,7 +220,7 @@ def test_unit_lands_generators_on_their_terms(contraction):
 
 
 def test_identity_morphism_extends_to_the_identity(contraction):
-    ident = SetMorphism.identity(contraction.presentation)
+    ident = identity_map(contraction.presentation)
     ext = free_on_morphism(ident, contraction, contraction)
     assert validate_contraction_morphism(ext).ok
     for text in ("gen(f)", "comp[1](gen(g),gen(f))", "id[1](gen(b))"):
@@ -241,7 +246,7 @@ def test_identity_morphism_extends_to_the_identity(contraction):
     ],
 )
 def test_planted_morphism_fault_is_reported_under_its_tag(contraction, source, image, reported):
-    ident = SetMorphism.identity(contraction.presentation)
+    ident = identity_map(contraction.presentation)
     ext = free_on_morphism(ident, contraction, contraction)
     term_map = {**ext.term_map, by_text(contraction, source): by_text(contraction, image)}
     report = validate_contraction_morphism(replace(ext, term_map=term_map))
@@ -250,7 +255,7 @@ def test_planted_morphism_fault_is_reported_under_its_tag(contraction, source, i
 
 def test_extended_morphism_rejects_terms_of_other_builders(contraction):
     p = contraction.presentation
-    ext = free_on_morphism(SetMorphism.identity(p), contraction, contraction)
+    ext = free_on_morphism(identity_map(p), contraction, contraction)
     stranger = TermBuilder(p).gen(p.cell(1, (1,), "g"))
     assert contraction.builder.terms[stranger.nid] in ext.term_map
     with pytest.raises(ContractionError, match="outside the mapped universe"):
@@ -338,12 +343,12 @@ def test_shared_session_matches_fresh_closure_per_stage(monkeypatch, quiver, kwa
         fresh = CongruenceSession(universe).seed(instantiate_relations(universe)).saturate()
         assert fresh.completed
         assert partition(fresh, universe) == shared
-        if n == cd.config.max_dim:
+        if n == cd.builder.config.max_dim:
             continue
         for (dim, dirs), terms in universe.levels.items():
             if dim != n:
                 continue
-            upper = [d for d in range(1, cd.config.dir_universe + 1) if d not in dirs]
+            upper = [d for d in range(1, cd.builder.config.dir_universe + 1) if d not in dirs]
             for x in terms:
                 for y in terms:
                     if x is not y and fresh.same(x, y):

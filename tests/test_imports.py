@@ -194,3 +194,63 @@ def test_every_keyword_only_parameter_is_set_by_a_workflow():
     while more := {knob for own, knob in forwards if own in reached} - reached:
         reached |= more
     assert sorted(f"{name}({param})" for name, param in knobs - reached) == []
+
+
+# Members the README names that no workflow reads.
+README_MEMBERS = frozenset({"to_file", "merge_reasons"})
+
+
+def _public_members() -> set[tuple[str, str]]:
+    """(class name, member name) for every public method and property
+    defined in the body of a package class."""
+    return {
+        (node.name, item.name)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
+def _attribute_reads() -> set[tuple[str, tuple[str, str] | None]]:
+    """Each attribute name read in the workflows, with the (class,
+    method) whose body holds the read, or None outside any method."""
+    reads: set[tuple[str, tuple[str, str] | None]] = set()
+
+    def visit(node: ast.AST, owner: tuple[str, str] | None) -> None:
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            method = isinstance(node, ast.ClassDef) and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)
+            )
+            visit(child, (node.name, child.name) if method else owner)
+
+    root = PACKAGE.parent.parent
+    for folder in CALLER_DIRS:
+        for path in sorted((root / folder).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return reads
+
+
+def test_every_public_member_is_read_by_a_workflow():
+    """Each public method or property of a package class is read as an
+    attribute in src/, demos/ or perfbench/, outside its own body.
+
+    Reads are matched by name, not by type, so a member whose name
+    another class also uses (to_dict, identity) passes whenever the
+    other one is read: the lint cannot see that kind of dead member.
+    """
+    members = _public_members()
+    assert members
+    reads = _attribute_reads()
+    unread = {
+        name
+        for cls, name in members
+        if name not in README_MEMBERS
+        and not any(attr == name and owner != (cls, name) for attr, owner in reads)
+    }
+    assert sorted(unread) == []

@@ -31,6 +31,7 @@ from omegacube import (
     word_oracle_sweep,
     word_separator,
 )
+from omegacube.cli import _load_json
 from rewriting import rewrite_normalize, word_of_reduced
 
 CFG1 = TruncationConfig(max_dim=1, dir_universe=1, term_depth=5)
@@ -111,7 +112,7 @@ def test_category_json_roundtrip(tmp_path):
     c = pair_groupoid(2)
     path = tmp_path / "pg2.json"
     c.to_file(path)
-    back = InvolutiveOneCategory.from_file(path)
+    back = InvolutiveOneCategory.from_dict(_load_json(path))
     assert back.to_dict() == c.to_dict()
     assert all(r.ok for r in strict_view_reports(back))
 

@@ -1,6 +1,7 @@
 """Presentations: level bookkeeping, face access, validators, morphisms."""
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from omegacube import (
     validate_morphism,
     validate_quiver,
 )
+from omegacube.cli import _load_json
 from omegacube.presentation import format_level, make_dirs, parse_level
 
 
@@ -164,17 +166,29 @@ def test_cubical_axioms_catch_noncommuting_faces(iso_square):
     assert all(v.tag.startswith("faces-commute-") for v in report.violations)
 
 
+def test_cubical_axioms_report_a_face_naming_a_missing_cell(iso_square):
+    data = iso_square.underlying.to_dict()
+    square = data["cells"]["2/1,2"][0]
+    data["faces"]["2/1,2/1/s"][square] = "ghost"
+    report = validate_cubical_axioms(CubicalSetPresentation.from_dict(data))
+    # the s-face in direction 1 is missing, so both orders that start
+    # from it fail, once for each side in direction 2
+    assert Counter(v.tag for v in report.violations) == {"face-access": 2}
+    assert report.checked == 64
+
+
 def test_presentation_json_roundtrip(tmp_path, quiver):
     path = tmp_path / "quiver.json"
     quiver.to_file(path)
-    back = CubicalSetPresentation.from_file(path)
+    back = CubicalSetPresentation.from_dict(_load_json(path))
     assert back.to_dict() == quiver.to_dict()
     assert back.config == quiver.config
     assert [c.name for c in back.cells.get((1, (1,)), [])] == ["f", "g"]
 
 
 def test_identity_and_composition_of_morphisms(quiver):
-    ident = SetMorphism.identity(quiver)
+    maps = {lv: {c.name: c.name for c in refs} for lv, refs in quiver.cells.items()}
+    ident = SetMorphism(quiver, quiver, maps)
     assert validate_morphism(ident).ok
     f = quiver.cell(1, (1,), "f")
     assert ident.apply(f) is f

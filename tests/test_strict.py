@@ -24,6 +24,9 @@ from omegacube import (
     validate_strict,
     walking_isomorphism,
 )
+from omegacube import strict
+from omegacube.cli import _load_json, run
+from omegacube.presentation import format_level
 from omegacube.relations import FACE_LAWS
 
 CFG1 = TruncationConfig(max_dim=1, dir_universe=1, term_depth=3)
@@ -55,9 +58,12 @@ def test_dim_two_product_table_is_valid(iso_square):
 
 
 def test_table_json_roundtrip(tmp_path, iso_square):
+    # product --out writes the table, which the CLI reads back with from_dict
+    iso = tmp_path / "iso.json"
+    walking_isomorphism().to_file(iso)
     path = tmp_path / "table.json"
-    iso_square.to_file(path)
-    back = StrictCategoryTable.from_file(path)
+    assert run(["product", str(iso), str(iso), "--out", str(path)]) == 0
+    back = StrictCategoryTable.from_dict(_load_json(path))
     assert back.to_dict() == iso_square.to_dict()
     assert validate_strict(back).ok
     p = back.underlying
@@ -283,6 +289,37 @@ def test_planted_axiom_faults_carry_their_scheme_tags(
     assert example in [v.detail for v in strict.violations + involutive.violations]
 
 
+# A direction-1 dual that fixes one square instead of starring its
+# first slot; validate_involutive runs no face-law pass, so the wrong
+# entry reaches the schemes that act on squares.
+@pytest.mark.parametrize(
+    "square, tags",
+    [
+        (
+            "u|v",
+            {"star-commute": 2, "involutive": 1, "star-antihomo": 4, "star-homo-transverse": 4},
+        ),
+        (
+            "u|ia",
+            {
+                "id-hermitian-transverse": 1,
+                "involutive": 1,
+                "star-antihomo": 4,
+                "star-homo-transverse": 3,
+            },
+        ),
+    ],
+    ids=["star-commute", "id-hermitian-transverse"],
+)
+def test_planted_square_dual_faults_carry_their_scheme_tags(square, tags):
+    cfg = TruncationConfig(max_dim=2, dir_universe=2, term_depth=1)
+    c = build_product([walking_isomorphism(), walking_isomorphism()], cfg)
+    c.dual[ISO_SQUARES][square] = square
+    report = validate_involutive(c)
+    assert Counter(v.tag for v in report.violations) == tags
+    assert report.checked == 264
+
+
 def test_deleted_dual_entry_yields_undefined_side_reports():
     c = iso_table()
     del c.dual[(1, (1,), 1)]["u"]
@@ -340,7 +377,7 @@ def test_assignment_validate_catches_endpoint_mismatch():
 
 def test_assignment_json_roundtrip():
     q, assignment = arrow_assignment()
-    data = assignment.to_dict()
+    data = {"maps": {format_level(lv): t for lv, t in assignment.maps.items()}}
     back = GeneratorAssignment.from_dict(data, q, assignment.target)
     assert back.maps == assignment.maps
     assert back.validate().ok
@@ -370,3 +407,20 @@ def test_factorization_detects_a_broken_target():
     report = check_universal_factorization(assignment, universe)
     assert not report.ok
     assert {v.tag for v in report.violations} == {"hom-boundary"}
+
+
+def test_factorization_detects_a_second_extension_that_disagrees(monkeypatch):
+    q, assignment = arrow_assignment()
+    universe = enumerate_free_magma(q, 2)
+    real = strict.tabular_extension
+    gen_f = next(t for t in universe.all_terms() if t.text == "gen(f)")
+
+    def one_image_off(u, a):
+        images = real(u, a)
+        images[gen_f.nid] = a.target.underlying.cell(1, (1,), "v")
+        return images
+
+    monkeypatch.setattr(strict, "tabular_extension", one_image_off)
+    report = check_universal_factorization(assignment, universe)
+    assert Counter(v.tag for v in report.violations) == {"extension-unique": 1}
+    assert report.violations[0].detail == "recursive and tabular extensions disagree on gen(f)"
