@@ -12,6 +12,7 @@ from omegacube import (
     TruncationConfig,
     decide_equal,
     enumerate_free_magma,
+    render_trace,
     two_generator_quiver,
     word_separator,
 )
@@ -40,7 +41,7 @@ for left, right in pairs:
     decision = decide_equal(session, left, right, [separator])
     print(f"\n{left.text}  vs  {right.text}\n  -> {decision.verdict}")
     if decision.verdict == "equal":
-        for step in decision.witness["trace"]:
+        for step in render_trace(b, decision.witness["trace"]):
             print(f"     {step['left']} = {step['right']}  [{step['by']}]")
     elif decision.verdict == "not-equal":
         w = decision.witness

@@ -16,6 +16,7 @@ from .congruence import (
     audit_congruence,
     decide_equal,
     instantiate_relations,
+    render_trace,
 )
 from .contraction import (
     ContractionData,

@@ -20,7 +20,7 @@ import os
 import sys
 
 from .acceptance import DEFAULT_SEED, run_all
-from .congruence import CongruenceSession, decide_equal
+from .congruence import CongruenceSession, decide_equal, render_trace
 from .contraction import ContractionError, build_free_contraction, validate_contraction
 from .models import (
     InvolutiveOneCategory,
@@ -206,6 +206,9 @@ def cmd_decide(args) -> int:
         separators.append(_assignment_by_name(p, table))
 
     decision = decide_equal(session, t1, t2, separators)
+    witness = decision.witness
+    if decision.verdict == "equal":
+        witness = {"trace": render_trace(builder, witness["trace"])}
     report = {
         "config": {
             **p.config.to_dict(),
@@ -216,7 +219,7 @@ def cmd_decide(args) -> int:
         "t2": t2.text,
         "level": format_level(t1.level),
         "verdict": decision.verdict,
-        "witness": decision.witness,
+        "witness": witness,
     }
     _emit(report, args)
     print(f"decide: {t1.text} vs {t2.text} -> {decision.verdict}")

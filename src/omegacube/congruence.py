@@ -26,9 +26,13 @@ reaches a fixpoint whenever the budget allows.
 
 Verdicts are three-valued.  Equal comes with a merge trace, NotEqual
 requires a separating evaluation into a concrete strict model, and
-anything else is reported as Unknown rather than guessed.  A session
-memoises each separator's images across decisions, so a separator is
-read as immutable for the session's lifetime.
+anything else is reported as Unknown rather than guessed.  A trace is a
+list of proof-forest steps ``(left nid, right nid, reason)``, the
+reason being the tuple the session stored for that edge, so deciding
+formats no text; render_trace prints one as the ``{"left", "right",
+"by"}`` dicts a report shows.  A session memoises each separator's
+images across decisions, so a separator is read as immutable for the
+session's lifetime.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .relations import (
     reflector_dirs,
 )
 from .strict import EvalError, Evaluator
-from .term import GEN, KAPPA, Term, TermError, TermUniverse
+from .term import GEN, KAPPA, Term, TermBuilder, TermError, TermUniverse
 
 
 # The sides of each scheme, plus contraction-projection: a filler k from
@@ -146,7 +150,12 @@ class CongruenceSession:
     a class with no parent nodes, or one that has been absorbed, holds
     a shared empty tuple, which nothing appends to.  Each queue entry
     carries the key it was queued under, so the pending-key set is
-    empty whenever the queue is.
+    empty whenever the queue is, and saturate replaces it with a fresh
+    set when the queue drains, since a set never shrinks its table.
+
+    A signature is one int: the builder's op_key of the node's
+    operation over the roots of its arguments.  A pending key is
+    Szudzik's pairing of the two roots, the smaller one first.
     """
 
     def __init__(self, universe: TermUniverse):
@@ -155,9 +164,9 @@ class CongruenceSession:
         self._parent: list[int] = []
         self._next: list[int] = []
         self._class_parents: list[list[int] | tuple] = []
-        self._sig: dict[tuple, int] = {}
-        self._pending: deque[tuple[int, int, object, tuple[int, int] | None]] = deque()
-        self._pending_keys: set[tuple[int, int]] = set()
+        self._sig: dict[int, int] = {}
+        self._pending: deque[tuple[int, int, object, int | None]] = deque()
+        self._pending_keys: set[int] = set()
         self._merged: list[int] = []
         self._pf_parent: list[int] = []
         self._pf_reason: list[object] = []
@@ -198,14 +207,14 @@ class CongruenceSession:
 
     # node intake -----------------------------------------------------
 
-    def _signature(self, node: Term) -> tuple | None:
+    def _signature(self, node: Term) -> int | None:
         kind = node.kind
         if kind == GEN or kind == KAPPA:
             return None
         args = node.args
         if len(args) == 1:
-            return (kind, node.d, self.find(args[0].nid))
-        return (kind, node.d, self.find(args[0].nid), self.find(args[1].nid))
+            return self.builder.op_key(kind, node.d, self.find(args[0].nid))
+        return self.builder.op_key(kind, node.d, self.find(args[0].nid), self.find(args[1].nid))
 
     def _enqueue(self, a: int, b: int, reason: object) -> None:
         """Queue a merge, suppressing pairs already queued or already equal.
@@ -218,7 +227,7 @@ class CongruenceSession:
             ra, rb = self.find(a), self.find(b)
             if ra == rb:
                 return
-            key = (ra, rb) if ra < rb else (rb, ra)
+            key = rb * rb + ra if ra < rb else ra * ra + rb
             if key in self._pending_keys:
                 return
             self._pending_keys.add(key)
@@ -342,6 +351,7 @@ class CongruenceSession:
             if self._ingested < len(arena):
                 self._ingest_new_nodes()
             if not pending:
+                self._pending_keys = set()
                 if self._merged:
                     # the pass may build faces the arena lacks; they are
                     # ingested on the next turn
@@ -395,10 +405,11 @@ class CongruenceSession:
         match, so the representative of a class tuple always passes it.
 
         budget bounds the merges of the whole call, across its waves and
-        scans.  When it runs out, the waves left are still keyed and
-        seeded, but not saturated: completed is False, as for saturate,
-        and a later saturate reaches the same closure as a call with
-        budget to spare.
+        scans.  When it runs out the call stops at once, seeding no
+        further wave: completed is False, as for saturate.  A later
+        saturate_over_classes on the same levels resumes from the seen
+        keys and reaches the same closure as a call with budget to
+        spare; plain saturate only drains what is queued.
         """
         b = self.builder
         if budget is None:
@@ -412,14 +423,15 @@ class CongruenceSession:
             w = -1 if family == "contraction-projection" else max(t.weight for t in operands)
             waves.setdefault(w, []).append(match)
         scan = [waves[w] for w in sorted(waves)]
-        exhausted = not self.saturate(budget).completed
+        if not self.saturate(budget).completed:
+            return self
         while True:
             fresh = 0
             for matches in scan:
                 fresh += self._seed_new_classes(matches)
-                if not exhausted:
-                    exhausted = not self.saturate(stop - self.processed).completed
-            if exhausted or not fresh:
+                if not self.saturate(stop - self.processed).completed:
+                    return self
+            if not fresh:
                 return self
 
     def _seed_new_classes(self, matches) -> int:
@@ -450,8 +462,9 @@ class CongruenceSession:
 
     # explanations ----------------------------------------------------
 
-    def _explain(self, a: Term, b: Term) -> list[dict]:
-        """A chain of proof-forest edges connecting two terms of one class;
+    def _explain(self, a: Term, b: Term) -> list[tuple[int, int, object]]:
+        """A chain of proof-forest edges connecting two terms of one class,
+        as ``(left nid, right nid, reason)`` steps from a to b;
         decide_equal returns it as the witness of an Equal verdict.
 
         Both ends climb towards the root in turn, each recording the
@@ -485,15 +498,7 @@ class CongruenceSession:
                 pb.append(y)
         steps = [(n, parent[n], why[n]) for n in pa[: on_a[meet]]]
         steps.extend((parent[n], n, why[n]) for n in reversed(pb[: on_b[meet]]))
-        terms = self.builder.terms
-        return [
-            {
-                "left": terms[x].text,
-                "right": terms[y].text,
-                "by": _reason_text(reason),
-            }
-            for x, y, reason in steps
-        ]
+        return steps
 
     def stats(self) -> dict:
         return {
@@ -536,6 +541,20 @@ def _reason_text(reason: object) -> str:
     return "operation compatibility"
 
 
+def render_trace(builder: TermBuilder, trace: list) -> list[dict]:
+    """An Equal verdict's trace in print.
+
+    Each ``(left nid, right nid, reason)`` step of the builder's arena
+    becomes ``{"left": text, "right": text, "by": reason text}``; this is
+    the form reports and demos show.
+    """
+    terms = builder.terms
+    return [
+        {"left": terms[x].text, "right": terms[y].text, "by": _reason_text(reason)}
+        for x, y, reason in trace
+    ]
+
+
 def decide_equal(
     session: CongruenceSession,
     t1: Term,
@@ -544,9 +563,11 @@ def decide_equal(
 ) -> Decision:
     """Three-valued verdict on a pair of same-level terms.
 
-    Equal when saturation merged the two terms; the witness is a merge
-    trace.  NotEqual only when some separating assignment evaluates the
-    terms to different cells of its target model.  Unknown otherwise,
+    Equal when saturation merged the two terms; the witness's "trace" is
+    the list of proof-forest steps ``(left nid, right nid, reason)``
+    leading from t1 to t2, empty when t1 is t2, and render_trace turns
+    it into text.  NotEqual only when some separating assignment
+    evaluates the terms to different cells of its target model.  Unknown otherwise,
     with the session state and a cause in the witness: "budget" when
     saturation stopped short of its fixpoint, "no-separator" when no
     separator was given, "no-separator-applied" when every separator

@@ -69,11 +69,22 @@ class InvolutiveOneCategory:
     def from_dict(cls, data: dict) -> "InvolutiveOneCategory":
         try:
             arrows = json_object(data["arrows"], "arrows")
+            compose = data["compose"]
+            # a string unpacks into its characters, so shapes come first
+            if not (
+                all(isinstance(ends, list) and len(ends) == 2 for ends in arrows.values())
+                and isinstance(compose, list)
+                and all(isinstance(entry, list) and len(entry) == 3 for entry in compose)
+            ):
+                raise ModelError(
+                    "malformed category data: each arrow needs a list of its two "
+                    "endpoints, and compose a list of [left, right, composite] lists"
+                )
             c = cls(
                 name=data.get("name", ""),
                 objects=list(data["objects"]),
                 arrows={k: (s, t) for k, (s, t) in arrows.items()},
-                compose={(x, y): z for x, y, z in data["compose"]},
+                compose={(x, y): z for x, y, z in compose},
                 identity=dict(name_table(data["identity"], "identity")),
                 star=dict(name_table(data["star"], "star")),
             )

@@ -102,7 +102,7 @@ NODE_COUNTS = SimpleNamespace(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationInstance:
     family: str
     left: Term

@@ -15,6 +15,10 @@ tables against too.  ``kappa[d](x, y)`` exists only as a term: it has
 d-source x, d-target y, and contracts facewise in other directions,
 collapsing to a reflector whenever the two faces coincide.
 
+Constructors format no strings: a node's printable text is built the
+first time Term.text is read and kept on the node.  The closure never
+reads it, so only the terms a report or an error prints pay for it.
+
 Composition ``comp[d](x, y)`` requires the d-source of x to coincide
 with the d-target of y on the nose; the mismatch error carries both
 boundary terms.
@@ -42,6 +46,8 @@ REFL = "id"
 DUAL = "dual"
 COMP = "comp"
 KAPPA = "kappa"
+# the tag of each operation in its intern key (TermBuilder.op_key)
+_TAGS = {REFL: 0, DUAL: 1, COMP: 2, KAPPA: 3}
 
 
 class TermError(Exception):
@@ -67,20 +73,55 @@ class KappaError(TermError):
     """Contraction cell requested without a certified parallel pair."""
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Term:
-    """One hash-consed node.  Compare with ``is``; nodes never mutate."""
+    """One hash-consed node.  Compare with ``is``.
 
-    nid: int
-    kind: str
-    d: int
-    cell: CellRef | None
-    args: tuple["Term", ...]
-    dim: int
-    dirs: Dirs
-    size: int
-    weight: int
-    text: str
+    Only a TermBuilder creates nodes, and no field changes once a node
+    is built.  The printable text is the one exception: it is formatted
+    the first time it is read and then kept on the node, so nodes whose
+    text nothing reads never hold a string.
+    """
+
+    __slots__ = ("nid", "kind", "d", "cell", "args", "dim", "dirs", "size", "weight", "_text")
+
+    def __init__(
+        self,
+        nid: int,
+        kind: str,
+        d: int,
+        cell: CellRef | None,
+        args: tuple["Term", ...],
+        dim: int,
+        dirs: Dirs,
+        size: int,
+        weight: int,
+    ):
+        self.nid = nid
+        self.kind = kind
+        self.d = d
+        self.cell = cell
+        self.args = args
+        self.dim = dim
+        self.dirs = dirs
+        self.size = size
+        self.weight = weight
+        self._text: str | None = None
+
+    @property
+    def text(self) -> str:
+        """The syntax parse_term reads: ``gen(name)``, ``id[d](t)``,
+        ``dual[d](t)``, ``comp[d](t,u)`` or ``kappa[d](t,u)``."""
+        text = self._text
+        if text is None:
+            args = self.args
+            if self.kind == GEN:
+                text = f"gen({self.cell.name})"
+            elif len(args) == 1:
+                text = f"{self.kind}[{self.d}]({args[0].text})"
+            else:
+                text = f"{self.kind}[{self.d}]({args[0].text},{args[1].text})"
+            self._text = text
+        return text
 
     @property
     def level(self) -> LevelKey:
@@ -115,12 +156,14 @@ class TermBuilder:
     quotient.
 
     The intern table and the face cache are indexed by node id rather
-    than by term.  The intern table maps ``(tag, d, child nids...)`` to
-    a node, so its keys hold only ints and strings and the cyclic
-    collector stops tracking them; it accepts a hit only when the
-    node's children are the very arguments given.  The face cache is
-    one flat list with ``2 * dir_universe`` slots per node: node n's
-    face in direction d, side s or t, sits at
+    than by term.  The intern table keys a generator by its cell and an
+    operation node by one int (op_key), so its keys hold no terms and
+    the cyclic collector does not track them.  A lookup accepts a hit
+    only when the node's children are the very arguments given; with
+    the arguments fixed the key fixes the direction, so a direction
+    outside the universe never hits.  The face cache is one flat list
+    with ``2 * dir_universe`` slots per node: node n's face in
+    direction d, side s or t, sits at
     ``n * stride + 2 * (d - 1) + (side == "t")``, read only once the
     arguments and the term's owner have been checked.  Either way a
     term of another builder whose id collides with a node of this one
@@ -131,8 +174,10 @@ class TermBuilder:
         self.presentation = presentation
         self.config = presentation.config
         self.terms: list[Term] = []
-        self._intern: dict[tuple, Term] = {}
+        self._intern: dict[int | tuple, Term] = {}
         self._stride = 2 * self.config.dir_universe
+        # 4 * d + tag stays below the stride for every direction 1..dir_universe
+        self._key_stride = 4 * (self.config.dir_universe + 1)
         self._faces: list[Term | None] = []
         self._kappa_ok: set[tuple[Term, Term]] = set()
 
@@ -146,9 +191,24 @@ class TermBuilder:
             if t.nid >= len(terms) or terms[t.nid] is not t:
                 raise TermError(f"{t.text} was built by another builder")
 
+    def op_key(self, kind: str, d: int, i: int, j: int = -1) -> int:
+        """One int for the operation ``kind[d]`` on the node ids i, or i and j.
+
+        The operand ids become ``pair``: i alone for id and dual, and
+        Szudzik's pairing for comp and kappa (``i * i + i + j`` if
+        i >= j, else ``j * j + i``).  The key is ``pair * stride + 4 * d
+        + tag``, with tag 0, 1, 2, 3 for id, dual, comp and kappa and
+        stride ``4 * (dir_universe + 1)``.  Both steps are injective, so
+        distinct operations in directions 1..dir_universe never share a
+        key, however many directions or nodes there are.
+        """
+        if j >= 0:
+            i = i * i + i + j if i >= j else j * j + i
+        return i * self._key_stride + 4 * d + _TAGS[kind]
+
     def _new(
         self,
-        key: tuple,
+        key: int | tuple,
         kind: str,
         d: int,
         cell: CellRef | None,
@@ -157,11 +217,10 @@ class TermBuilder:
         dirs: Dirs,
         size: int,
         weight: int,
-        text: str,
     ) -> Term:
-        # callers look the key up first, so a hit skips validation and text;
-        # Term is built positionally, which costs about half a keyword build
-        node = Term(len(self.terms), kind, d, cell, args, dim, dirs, size, weight, text)
+        # callers look the key up first, so a hit skips validation; Term is
+        # built positionally, which costs about half a keyword build
+        node = Term(len(self.terms), kind, d, cell, args, dim, dirs, size, weight)
         self.terms.append(node)
         self._intern[key] = node
         self._faces.extend([None] * self._stride)
@@ -186,11 +245,10 @@ class TermBuilder:
             dirs=cell.dirs,
             size=1,
             weight=0,
-            text=f"gen({cell.name})",
         )
 
     def refl(self, d: int, x: Term) -> Term:
-        key = ("r", d, x.nid)
+        key = self.op_key(REFL, d, x.nid)
         found = self._intern.get(key)
         if found is not None and found.args[0] is x:
             return found
@@ -211,11 +269,10 @@ class TermBuilder:
             dirs=dirs_with(x.dirs, d),
             size=x.size + 1,
             weight=x.weight + 1,
-            text=f"id[{d}]({x.text})",
         )
 
     def dual(self, d: int, x: Term) -> Term:
-        key = ("d", d, x.nid)
+        key = self.op_key(DUAL, d, x.nid)
         found = self._intern.get(key)
         if found is not None and found.args[0] is x:
             return found
@@ -232,11 +289,10 @@ class TermBuilder:
             dirs=x.dirs,
             size=x.size + 1,
             weight=x.weight + 1,
-            text=f"dual[{d}]({x.text})",
         )
 
     def comp(self, d: int, x: Term, y: Term) -> Term:
-        key = ("c", d, x.nid, y.nid)
+        key = self.op_key(COMP, d, x.nid, y.nid)
         found = self._intern.get(key)
         if found is not None and found.args[0] is x and found.args[1] is y:
             return found
@@ -262,11 +318,10 @@ class TermBuilder:
             dirs=x.dirs,
             size=x.size + y.size + 1,
             weight=x.weight + y.weight + 1,
-            text=f"comp[{d}]({x.text},{y.text})",
         )
 
     def kappa(self, d: int, x: Term, y: Term) -> Term:
-        key = ("k", d, x.nid, y.nid)
+        key = self.op_key(KAPPA, d, x.nid, y.nid)
         found = self._intern.get(key)
         if found is not None and found.args[0] is x and found.args[1] is y:
             return found
@@ -299,7 +354,6 @@ class TermBuilder:
             dirs=dirs_with(x.dirs, d),
             size=x.size + y.size + 1,
             weight=x.weight + y.weight + 1,
-            text=f"kappa[{d}]({x.text},{y.text})",
         )
 
     def admit_kappa_pair(self, x: Term, y: Term) -> None:

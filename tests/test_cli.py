@@ -97,6 +97,20 @@ def _table(**changes):
     return {**as_strict_table(pair_groupoid(2)).to_dict(), **changes}
 
 
+def _one_object(**changes):
+    """The terminal category, with one-character names, so that a string
+    of names unpacks like a list of them."""
+    data = {
+        "name": "one",
+        "objects": ["o"],
+        "arrows": {"i": ["o", "o"]},
+        "compose": [["i", "i", "i"]],
+        "identity": {"o": "i"},
+        "star": {"i": "i"},
+    }
+    return {**data, **changes}
+
+
 def _short_arrow():
     return _category(arrows={**pair_groupoid(2).to_dict()["arrows"], "p12": ["o2"]})
 
@@ -134,6 +148,8 @@ MALFORMED = {
     "comp entry naming a list": ("validate", _table(comp={"1/1/1": [[["p11"], "p11", "p11"]]}), []),
     "category star naming a list": ("product", _category(star={"p12": []}), []),
     "category composite naming a list": ("product", _category(compose=[["p11", "p11", []]]), []),
+    "category endpoints as a string": ("product", _one_object(arrows={"i": "oo"}), []),
+    "category composite as a string": ("product", _one_object(compose=["iii"]), []),
 }
 
 
@@ -152,6 +168,13 @@ def test_malformed_input_shapes_are_usage_errors(case, quiver_file, tmp_path, ca
     }[subcommand]
     assert run(argv + rest) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_product_accepts_the_one_object_category(tmp_path):
+    # the string-shaped variants above are malformed only in their shape
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(_one_object()))
+    assert run(["product", str(path)]) == 0
 
 
 def test_enumerate_reports_exact_counts(quiver_file, tmp_path):

@@ -24,6 +24,7 @@ from omegacube import (
     enumerate_free_magma,
     instantiate_relations,
     audit_congruence,
+    render_trace,
     as_strict_table,
     cyclic_group_category,
     two_generator_quiver,
@@ -43,10 +44,10 @@ def by_text(universe, text):
 
 
 def trace(session, a, b):
-    """The merge trace of an Equal verdict on a and b."""
+    """The merge trace of an Equal verdict on a and b, rendered as text."""
     decision = decide_equal(session, a, b)
     assert decision.verdict == "equal"
-    return decision.witness["trace"]
+    return render_trace(session.builder, decision.witness["trace"])
 
 
 def test_family_catalogue_is_fixed():
@@ -635,11 +636,43 @@ def test_manual_merges_propagate_to_faces(quiver):
 def test_intern_keys_hold_no_terms(quiver):
     # keys of ints and strings are untracked by the cyclic collector
     u = enumerate_free_magma(quiver, 2)
-    CongruenceSession(u).seed(instantiate_relations(u)).saturate()
+    session = CongruenceSession(u).seed(instantiate_relations(u)).saturate()
     gc.collect()
     keys = u.builder._intern
     assert len(keys) == len(u.builder)
     assert not any(gc.is_tracked(key) for key in keys)
+    # an operation node is interned, and signed, under one int each
+    gen_keys = [k for k, t in keys.items() if t.kind == "gen"]
+    assert len(gen_keys) == 5 and all(isinstance(k, tuple) for k in gen_keys)
+    assert all(type(k) is int for k, t in keys.items() if t.kind != "gen")
+    assert session._sig and all(type(k) is int for k in session._sig)
+    assert session._pending_keys == set()
+
+
+def test_deciding_every_instance_formats_no_text_outside_the_universe(quiver):
+    u = enumerate_free_magma(quiver, 3)
+    rels = instantiate_relations(u)
+    session = CongruenceSession(u).seed(rels).saturate()
+    for r in rels:
+        decision = decide_equal(session, r.left, r.right)
+        assert decision.verdict == "equal"
+    inside = {t.nid for t in u.all_terms()}
+    assert len(u.builder) == 93825
+    assert not [t for t in u.builder.terms if t.nid not in inside and t._text is not None]
+
+
+def test_equal_witness_is_a_list_of_node_id_steps(saturated):
+    u = saturated.universe
+    f = by_text(u, "gen(f)")
+    t1 = u.builder.dual(1, u.builder.dual(1, f))
+    steps = decide_equal(saturated, t1, f).witness["trace"]
+    assert steps[0][0] == t1.nid and steps[-1][1] == f.nid
+    for left, right, reason in steps:
+        assert type(left) is int and type(right) is int
+        assert saturated._pf_reason[left] is reason or saturated._pf_reason[right] is reason
+    assert render_trace(saturated.builder, steps) == [
+        {"left": "dual[1](dual[1](gen(f)))", "right": "gen(f)", "by": "relation involutive"}
+    ]
 
 
 def test_signature_merging_is_congruent(quiver):
@@ -715,7 +748,7 @@ def test_class_closure_matches_a_fresh_syntactic_closure(quiver, case):
     assert audit_congruence(by_class).ok
 
 
-def test_class_closure_out_of_budget_queues_the_rest(quiver):
+def test_class_closure_out_of_budget_resumes_from_the_seen_keys(quiver):
     u = enumerate_free_magma(quiver, 2)
     # the budget runs out in an early wave, before the heavier waves are keyed
     session = CongruenceSession(u).saturate_over_classes(u.levels, budget=10)
@@ -723,12 +756,28 @@ def test_class_closure_out_of_budget_queues_the_rest(quiver):
     assert session.stats()["processed"] == 10
     f, g = by_text(u, "gen(f)"), by_text(u, "gen(g)")
     assert decide_equal(session, f, g).witness["cause"] == "budget"
-    # every match is queued or covered by a seeded class tuple, so plain
-    # saturation finishes the same closure
-    session.saturate()
+    # a second call on the same levels seeds the class tuples the first
+    # one left unseen and finishes the same closure
+    session.saturate_over_classes(u.levels)
+    assert session.completed
     full = enumerate_free_magma(quiver, 2)
     reference = CongruenceSession(full).seed(instantiate_relations(full)).saturate()
     assert partition_digest(session, u) == partition_digest(reference, full)
+
+
+def test_class_closure_out_of_budget_seeds_no_further_wave(quiver):
+    u, levels, cap = closure_case("oracle-dim1", quiver)
+    session = CongruenceSession(u).saturate_over_classes(levels, max_side_size=cap, budget=20)
+    assert not session.completed
+    # only the first wave is seeded before the budget runs out
+    assert session.stats()["seeded"] == 10
+    session.saturate_over_classes(levels, max_side_size=cap)
+    v, levels, cap = closure_case("oracle-dim1", quiver)
+    unbudgeted = CongruenceSession(v).saturate_over_classes(levels, max_side_size=cap)
+    assert session.stats() == unbudgeted.stats() == {
+        "nodes": 1366, "seeded": 583, "merges": 1299, "processed": 1299, "completed": True
+    }
+    assert partition_digest(session, u) == partition_digest(unbudgeted, v)
 
 
 @st.composite

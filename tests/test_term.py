@@ -15,6 +15,7 @@ from omegacube import (
     parse_term,
     two_generator_quiver,
 )
+from omegacube.term import COMP, DUAL, GEN, KAPPA, REFL
 
 
 @pytest.fixture()
@@ -40,6 +41,65 @@ def test_terms_carry_no_instance_dict(builder):
     # slots keep the per-node footprint of the arena fixed
     t = builder.comp(1, gens(builder)["g"], gens(builder)["f"])
     assert not hasattr(t, "__dict__")
+
+
+def test_text_is_formatted_on_first_read(builder):
+    g = gens(builder)
+    sq = builder.refl(2, g["f"])
+    nodes = {
+        "gen(f)": g["f"],
+        "id[2](gen(f))": sq,
+        "dual[1](gen(f))": builder.dual(1, g["f"]),
+        "comp[1](gen(g),gen(f))": builder.comp(1, g["g"], g["f"]),
+        "comp[2](id[2](gen(f)),id[2](gen(f)))": builder.comp(2, sq, sq),
+    }
+    assert all(t._text is None for t in builder.terms)
+    for text, t in nodes.items():
+        assert t.text == text
+        # the string is kept, so a second read formats nothing
+        assert t._text is t.text
+    assert repr(sq) == "<id[2](gen(f))>"
+
+
+def test_contraction_cells_print_their_operands(contraction):
+    cells = [t for t in contraction.universe.all_terms() if t.kind == KAPPA]
+    assert len(cells) == 36
+    for k in cells:
+        assert k.text == f"kappa[{k.d}]({k.left.text},{k.right.text})"
+
+
+@pytest.mark.parametrize("which", ["universe3", "contraction"])
+def test_text_parse_roundtrip_on_larger_universes(which, request):
+    universe = request.getfixturevalue(which)
+    if which == "contraction":
+        universe = universe.universe
+    b = universe.builder
+    kinds = set()
+    for t in universe.all_terms():
+        assert parse_term(t.text, b) is t
+        kinds.add(t.kind)
+    operations = {REFL, DUAL, COMP, KAPPA} if which == "contraction" else {REFL, DUAL, COMP}
+    assert kinds == {GEN} | operations
+
+
+def test_operation_keys_separate_directions_past_any_bit_field():
+    # a 5-bit direction field would fold direction 33 onto direction 1
+    wide = two_generator_quiver(TruncationConfig(max_dim=2, dir_universe=40, term_depth=1))
+    b = TermBuilder(wide)
+    g = gens(b)
+    # id[1](id[33](a)) composes with itself in both of its directions
+    sq = b.refl(1, b.refl(33, g["a"]))
+    built = {}
+    for d in (1, 33):
+        built["id", d] = b.refl(d, g["a"])
+        built["dual", d] = b.dual(d, sq)
+        built["comp", d] = b.comp(d, sq, sq)
+    assert len({t.nid for t in built.values()}) == len(built)
+    for (kind, d), t in built.items():
+        assert (t.kind, t.d) == (kind, d)
+    assert b.refl(33, g["a"]) is built["id", 33]
+    assert b.dual(33, sq) is built["dual", 33]
+    assert b.comp(33, sq, sq) is built["comp", 33]
 
 
 def test_levels_of_each_constructor(builder):
