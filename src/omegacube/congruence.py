@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .presentation import ValidationReport, format_level
 from .relations import (
@@ -50,7 +51,18 @@ from .relations import (
     reflector_dirs,
 )
 from .strict import EvalError, Evaluator
-from .term import GEN, KAPPA, Term, TermBuilder, TermError, TermUniverse
+from .term import (
+    COMP_TAG,
+    DUAL_TAG,
+    GEN,
+    KAPPA,
+    REFL,
+    REFL_TAG,
+    Term,
+    TermBuilder,
+    TermError,
+    TermUniverse,
+)
 
 
 # The sides of each scheme, plus contraction-projection: a filler k from
@@ -178,6 +190,9 @@ class CongruenceSession:
         self.processed = 0
         self.seeded = 0
         self.completed = False
+        # the match waves of a saturate_over_classes call the budget cut
+        # short; the next such call scans them with its own matches
+        self._unfinished: list[list] = []
         self._ingest_new_nodes()
 
     # union-find ------------------------------------------------------
@@ -213,8 +228,9 @@ class CongruenceSession:
             return None
         args = node.args
         if len(args) == 1:
-            return self.builder.op_key(kind, node.d, self.find(args[0].nid))
-        return self.builder.op_key(kind, node.d, self.find(args[0].nid), self.find(args[1].nid))
+            tag = REFL_TAG if kind == REFL else DUAL_TAG
+            return self.builder.op_key(tag, node.d, self.find(args[0].nid))
+        return self.builder.op_key(COMP_TAG, node.d, self.find(args[0].nid), self.find(args[1].nid))
 
     def _enqueue(self, a: int, b: int, reason: object) -> None:
         """Queue a merge, suppressing pairs already queued or already equal.
@@ -339,7 +355,9 @@ class CongruenceSession:
 
         The budget counts merges.  When the queue drains, one face pass
         over the pairs merged since the last pass may queue more; the
-        fixpoint is reached when the queue is empty after a pass.
+        fixpoint is reached when the queue is empty after a pass.  While
+        a saturate_over_classes call cut short has left waves unseeded, a
+        drained queue is not the closure and completed stays False.
         """
         if budget is None:
             budget = self.builder.config.saturation_budget
@@ -357,7 +375,7 @@ class CongruenceSession:
                     # ingested on the next turn
                     self._face_pass()
                     continue
-                self.completed = True
+                self.completed = not self._unfinished
                 return self
             if spent >= budget:
                 self.completed = False
@@ -406,17 +424,25 @@ class CongruenceSession:
 
         budget bounds the merges of the whole call, across its waves and
         scans.  When it runs out the call stops at once, seeding no
-        further wave: completed is False, as for saturate.  A later
-        saturate_over_classes on the same levels resumes from the seen
-        keys and reaches the same closure as a call with budget to
-        spare; plain saturate only drains what is queued.
+        further wave: completed is False, as for saturate.  The session
+        keeps the waves of the cut call, and the next
+        saturate_over_classes, on any levels, scans their matches with
+        its own, each once, so it resumes from the seen keys and reaches
+        the closure a call with budget to spare reaches.  Until then
+        plain saturate only drains what is queued and leaves completed
+        False.
         """
         b = self.builder
         if budget is None:
             budget = b.config.saturation_budget
         stop = self.processed + budget
+        matches = _matches(b, levels, max_side_size)
+        if self._unfinished:
+            # a match both calls cover is scanned once
+            matches = dict.fromkeys(chain(chain.from_iterable(self._unfinished), matches))
+            self._unfinished = []
         waves: dict[int, list] = {}
-        for match in _matches(b, levels, max_side_size):
+        for match in matches:
             family, _, operands = match
             # projections come first: each puts a filler in a reflector's
             # class before any wave keys a match over that filler
@@ -424,12 +450,14 @@ class CongruenceSession:
             waves.setdefault(w, []).append(match)
         scan = [waves[w] for w in sorted(waves)]
         if not self.saturate(budget).completed:
+            self._unfinished = scan
             return self
         while True:
             fresh = 0
-            for matches in scan:
-                fresh += self._seed_new_classes(matches)
+            for wave in scan:
+                fresh += self._seed_new_classes(wave)
                 if not self.saturate(stop - self.processed).completed:
+                    self._unfinished = scan
                     return self
             if not fresh:
                 return self

@@ -127,8 +127,8 @@ def build_free_contraction(
     changed since an earlier stage with saturate_over_classes, whose
     class keys outlive the stage, so an operand-class tuple an earlier
     stage seeded is not seeded again.  budget bounds the merges of each
-    stage's closure; a stage whose budget runs out leaves its levels to
-    the next stage, which resumes them from the seen keys.
+    stage's closure; the waves a stage cut short left unseeded stay with
+    the session, and the next stage's closure seeds them.
 
     size_cap bounds the node count of enumerated terms; wide
     presentations need it because filler admission grows with the
@@ -158,11 +158,8 @@ def build_free_contraction(
         # a changed level is grounded whole, and the session's class keys
         # drop the matches an earlier stage covered
         changed = {lv: ts for lv, ts in universe.levels.items() if grounded.get(lv) != ts}
+        grounded.update(changed)
         session.saturate_over_classes(changed, max_side_size=max_side_size, budget=budget)
-        # a closure the budget cut short stopped seeding part way, so its
-        # levels count as changed at the next stage, which resumes them
-        if session.completed:
-            grounded.update(changed)
         added = 0
         for level, terms in sorted(universe.levels.items()):
             upper = reflector_dirs(cfg, level)

@@ -47,7 +47,7 @@ DUAL = "dual"
 COMP = "comp"
 KAPPA = "kappa"
 # the tag of each operation in its intern key (TermBuilder.op_key)
-_TAGS = {REFL: 0, DUAL: 1, COMP: 2, KAPPA: 3}
+REFL_TAG, DUAL_TAG, COMP_TAG, KAPPA_TAG = range(4)
 
 
 class TermError(Exception):
@@ -191,20 +191,21 @@ class TermBuilder:
             if t.nid >= len(terms) or terms[t.nid] is not t:
                 raise TermError(f"{t.text} was built by another builder")
 
-    def op_key(self, kind: str, d: int, i: int, j: int = -1) -> int:
-        """One int for the operation ``kind[d]`` on the node ids i, or i and j.
+    def op_key(self, tag: int, d: int, i: int, j: int = -1) -> int:
+        """One int for the operation with the given tag, in direction d, on
+        the node ids i, or i and j.
 
         The operand ids become ``pair``: i alone for id and dual, and
         Szudzik's pairing for comp and kappa (``i * i + i + j`` if
         i >= j, else ``j * j + i``).  The key is ``pair * stride + 4 * d
-        + tag``, with tag 0, 1, 2, 3 for id, dual, comp and kappa and
-        stride ``4 * (dir_universe + 1)``.  Both steps are injective, so
+        + tag``, with tag REFL_TAG, DUAL_TAG, COMP_TAG or KAPPA_TAG (0 to
+        3) and stride ``4 * (dir_universe + 1)``.  Both steps are injective, so
         distinct operations in directions 1..dir_universe never share a
         key, however many directions or nodes there are.
         """
         if j >= 0:
             i = i * i + i + j if i >= j else j * j + i
-        return i * self._key_stride + 4 * d + _TAGS[kind]
+        return i * self._key_stride + 4 * d + tag
 
     def _new(
         self,
@@ -248,7 +249,7 @@ class TermBuilder:
         )
 
     def refl(self, d: int, x: Term) -> Term:
-        key = self.op_key(REFL, d, x.nid)
+        key = self.op_key(REFL_TAG, d, x.nid)
         found = self._intern.get(key)
         if found is not None and found.args[0] is x:
             return found
@@ -272,7 +273,7 @@ class TermBuilder:
         )
 
     def dual(self, d: int, x: Term) -> Term:
-        key = self.op_key(DUAL, d, x.nid)
+        key = self.op_key(DUAL_TAG, d, x.nid)
         found = self._intern.get(key)
         if found is not None and found.args[0] is x:
             return found
@@ -292,7 +293,7 @@ class TermBuilder:
         )
 
     def comp(self, d: int, x: Term, y: Term) -> Term:
-        key = self.op_key(COMP, d, x.nid, y.nid)
+        key = self.op_key(COMP_TAG, d, x.nid, y.nid)
         found = self._intern.get(key)
         if found is not None and found.args[0] is x and found.args[1] is y:
             return found
@@ -321,7 +322,7 @@ class TermBuilder:
         )
 
     def kappa(self, d: int, x: Term, y: Term) -> Term:
-        key = self.op_key(KAPPA, d, x.nid, y.nid)
+        key = self.op_key(KAPPA_TAG, d, x.nid, y.nid)
         found = self._intern.get(key)
         if found is not None and found.args[0] is x and found.args[1] is y:
             return found

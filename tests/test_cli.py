@@ -170,13 +170,6 @@ def test_malformed_input_shapes_are_usage_errors(case, quiver_file, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_product_accepts_the_one_object_category(tmp_path):
-    # the string-shaped variants above are malformed only in their shape
-    path = tmp_path / "one.json"
-    path.write_text(json.dumps(_one_object()))
-    assert run(["product", str(path)]) == 0
-
-
 def test_enumerate_reports_exact_counts(quiver_file, tmp_path):
     out = tmp_path / "terms.json"
     assert run(["enumerate", quiver_file, "--depth", "1", "--out", str(out)]) == 0

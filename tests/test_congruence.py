@@ -756,9 +756,30 @@ def test_class_closure_out_of_budget_resumes_from_the_seen_keys(quiver):
     assert session.stats()["processed"] == 10
     f, g = by_text(u, "gen(f)"), by_text(u, "gen(g)")
     assert decide_equal(session, f, g).witness["cause"] == "budget"
+    # draining the queue is not the closure while waves are left unseeded,
+    # also when a term built since makes decide_equal saturate
+    b = u.builder
+    ida = b.refl(1, by_text(u, "gen(a)"))
+    fresh = b.comp(1, b.comp(1, f, ida), ida)
+    assert fresh.nid >= session._ingested
+    assert decide_equal(session, fresh, g).witness["cause"] == "budget"
+    session.saturate()
+    assert not session.completed
     # a second call on the same levels seeds the class tuples the first
     # one left unseen and finishes the same closure
     session.saturate_over_classes(u.levels)
+    assert session.completed
+    full = enumerate_free_magma(quiver, 2)
+    reference = CongruenceSession(full).seed(instantiate_relations(full)).saturate()
+    assert partition_digest(session, u) == partition_digest(reference, full)
+
+
+def test_class_closure_cut_short_is_finished_by_a_call_on_other_levels(quiver):
+    u = enumerate_free_magma(quiver, 2)
+    session = CongruenceSession(u).saturate_over_classes(u.levels, budget=10)
+    # the session keeps the unseeded waves, so a call that brings no
+    # levels of its own still finishes them
+    session.saturate_over_classes({})
     assert session.completed
     full = enumerate_free_magma(quiver, 2)
     reference = CongruenceSession(full).seed(instantiate_relations(full)).saturate()

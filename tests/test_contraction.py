@@ -378,19 +378,17 @@ def test_contraction_out_of_budget_ends_unknown():
     assert verdict.witness["cause"] == "budget"
 
 
-def test_a_stage_cut_short_hands_its_levels_to_the_next(quiver, monkeypatch):
-    # the budget runs out in stage 1; stage 2 must scan stage 1's levels
-    # again, or the waves stage 1 never seeded would stay unseeded
-    calls = []
-    close = CongruenceSession.saturate_over_classes
-
-    def recording(session, levels, **kwargs):
-        close(session, levels, **kwargs)
-        calls.append((set(levels), session.completed))
-        return session
-
-    monkeypatch.setattr(CongruenceSession, "saturate_over_classes", recording)
-    build_free_contraction(quiver, depth=2, budget=100)
-    (_, done0), (levels1, done1), (levels2, _) = calls
-    assert done0 and not done1
-    assert levels1 <= levels2
+def test_stages_cut_short_leave_their_waves_to_the_next_closure(quiver):
+    # the budget runs out in stages 1 and 2; the waves neither seeded stay
+    # with the session, so one more closure, over no new levels, finishes
+    # the closure of the whole final universe
+    cd = build_free_contraction(quiver, depth=2, budget=100)
+    assert [s.session["completed"] for s in cd.stages] == [True, False, False]
+    session = cd.session
+    session.saturate()
+    assert not session.completed
+    session.saturate_over_classes({})
+    assert session.completed
+    u = cd.universe
+    fresh = CongruenceSession(u).seed(instantiate_relations(u)).saturate()
+    assert partition(session, u) == partition(fresh, u)
