@@ -8,8 +8,8 @@ produced them (depth, budget, seed) and are serialized with sorted
 keys so that identical inputs give byte-identical output.
 
 Exit status: 0 when every requested check passed, 1 when checks ran
-and failed (or a decision stayed unknown), 2 for usage or input
-errors.
+and failed (or a decision stayed unknown, or the budget cut a
+contraction stage short), 2 for usage or input errors.
 """
 
 from __future__ import annotations
@@ -251,6 +251,7 @@ def cmd_contract(args) -> int:
     depth = args.depth if args.depth is not None else p.config.term_depth
     data = build_free_contraction(p, depth=depth, budget=args.budget)
     invariants = validate_contraction(data)
+    cut = data.incomplete_stage()
     kappa_table = {
         f"kappa[{d}]({data.builder.terms[x].text},{data.builder.terms[y].text})": node.text
         for (d, x, y), node in sorted(
@@ -269,15 +270,19 @@ def cmd_contract(args) -> int:
         "classes": partition,
         "invariants_checked": invariants.checked,
         "violations": [v.to_dict() for v in invariants.violations],
-        "ok": invariants.ok,
+        "ok": invariants.ok and cut is None,
     }
-    _emit(report, args)
     status = "ok" if invariants.ok else f"FAIL ({len(invariants.violations)} violations)"
+    if cut is not None:
+        # a stage the budget cut short is an unfinished build, not bad data
+        report["incomplete"] = {"stage": cut, "cause": "budget"}
+        status += f", incomplete at stage {cut} (budget)"
+    _emit(report, args)
     print(
         f"contract {os.path.basename(args.path)}: {data.universe.size} terms, "
         f"{len(data.kappa)} fillers, invariants {status}"
     )
-    return 0 if invariants.ok else 1
+    return 0 if report["ok"] else 1
 
 
 def cmd_eval(args) -> int:

@@ -8,7 +8,7 @@ each contraction cell with the reflector of its source.
 Every workflow closes a universe with
 CongruenceSession.saturate_over_classes, a union-find plus
 signature-table closure that seeds one instance per family, directions
-and tuple of operand classes and rescans to a checked fixpoint (Downey,
+and tuple of operand classes in one pass over waves of matches (Downey,
 Sethi and Tarjan's congruence closure with the rules fired per class,
 as equality saturation does), so the arena follows the number of
 classes rather than the number of matches.  instantiate_relations
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 from .presentation import ValidationReport, format_level
@@ -160,14 +161,12 @@ class CongruenceSession:
     list holds -1 at a root and whose reason list holds the reason of
     each node's edge to its parent.  Use-lists are allocated on demand:
     a class with no parent nodes, or one that has been absorbed, holds
-    a shared empty tuple, which nothing appends to.  Each queue entry
-    carries the key it was queued under, so the pending-key set is
-    empty whenever the queue is, and saturate replaces it with a fresh
-    set when the queue drains, since a set never shrinks its table.
+    a shared empty tuple, which nothing appends to.  A queue entry is a
+    plain (a, b, reason) triple; an entry whose pair is already joined
+    when it is popped is skipped.
 
     A signature is one int: the builder's op_key of the node's
-    operation over the roots of its arguments.  A pending key is
-    Szudzik's pairing of the two roots, the smaller one first.
+    operation over the roots of its arguments.
     """
 
     def __init__(self, universe: TermUniverse):
@@ -177,8 +176,7 @@ class CongruenceSession:
         self._next: list[int] = []
         self._class_parents: list[list[int] | tuple] = []
         self._sig: dict[int, int] = {}
-        self._pending: deque[tuple[int, int, object, int | None]] = deque()
-        self._pending_keys: set[int] = set()
+        self._pending: deque[tuple[int, int, object]] = deque()
         self._merged: list[int] = []
         self._pf_parent: list[int] = []
         self._pf_reason: list[object] = []
@@ -186,12 +184,11 @@ class CongruenceSession:
         self._seen: set[tuple] = set()
         self._keyed_at = 0
         self._ingested = 0
-        self.merges = 0
         self.processed = 0
         self.seeded = 0
         self.completed = False
-        # the match waves of a saturate_over_classes call the budget cut
-        # short; the next such call scans them with its own matches
+        # the match waves a saturate_over_classes call cut short left
+        # unkeyed; the next such call keys them with its own matches
         self._unfinished: list[list] = []
         self._ingest_new_nodes()
 
@@ -233,21 +230,10 @@ class CongruenceSession:
         return self.builder.op_key(COMP_TAG, node.d, self.find(args[0].nid), self.find(args[1].nid))
 
     def _enqueue(self, a: int, b: int, reason: object) -> None:
-        """Queue a merge, suppressing pairs already queued or already equal.
-
-        The entry carries the key it was queued under, so that saturate
-        releases exactly that key when it pops the entry.
-        """
-        key = None
-        if a < self._ingested and b < self._ingested:
-            ra, rb = self.find(a), self.find(b)
-            if ra == rb:
-                return
-            key = rb * rb + ra if ra < rb else ra * ra + rb
-            if key in self._pending_keys:
-                return
-            self._pending_keys.add(key)
-        self._pending.append((a, b, reason, key))
+        """Queue a merge, dropping a pair of known nodes already joined."""
+        if a < self._ingested and b < self._ingested and self.find(a) == self.find(b):
+            return
+        self._pending.append((a, b, reason))
 
     def _ingest_new_nodes(self) -> None:
         arena = self.builder.terms
@@ -298,7 +284,7 @@ class CongruenceSession:
         self._parent[rb] = ra
         nxt = self._next
         nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
-        self.merges += 1
+        self.processed += 1
         self._merged += (a, b)
 
         # only parents of the absorbed class change signature; a non-empty
@@ -342,10 +328,8 @@ class CongruenceSession:
     # public API ------------------------------------------------------
 
     def seed(self, relations: list[RelationInstance]) -> "CongruenceSession":
-        for idx, rel in enumerate(relations):
-            self._pending.append(
-                (rel.left.nid, rel.right.nid, ("seed", rel.family, idx), None)
-            )
+        for rel in relations:
+            self._pending.append((rel.left.nid, rel.right.nid, _seed_reason(rel.family)))
             self.seeded += 1
         self.completed = False
         return self
@@ -361,15 +345,14 @@ class CongruenceSession:
         """
         if budget is None:
             budget = self.builder.config.saturation_budget
+        stop = self.processed + budget
         arena = self.builder.terms
         pending = self._pending
         find = self.find
-        spent = 0
         while True:
             if self._ingested < len(arena):
                 self._ingest_new_nodes()
             if not pending:
-                self._pending_keys = set()
                 if self._merged:
                     # the pass may build faces the arena lacks; they are
                     # ingested on the next turn
@@ -377,18 +360,13 @@ class CongruenceSession:
                     continue
                 self.completed = not self._unfinished
                 return self
-            if spent >= budget:
+            if self.processed >= stop:
                 self.completed = False
                 return self
-            a, b, reason, key = pending.popleft()
-            if key is not None:
-                self._pending_keys.discard(key)
+            a, b, reason = pending.popleft()
             ra, rb = find(a), find(b)
-            if ra == rb:
-                continue
-            spent += 1
-            self.processed += 1
-            self._merge(a, b, ra, rb, reason)
+            if ra != rb:
+                self._merge(a, b, ra, rb, reason)
 
     def saturate_over_classes(
         self,
@@ -408,9 +386,10 @@ class CongruenceSession:
         projections of contraction cells go first, then the matches in
         waves of rising largest operand weight, saturating after each
         wave, so the light instances have merged classes before the
-        heavy matches are keyed.  Then the seen keys are moved to the
-        current roots and every match is scanned again; the call ends
-        only when a full scan seeds nothing.  The seen keys stay with the
+        heavy matches are keyed.  Each wave is keyed once: after the pass
+        every match was either seeded or shares its key with one that
+        was, and merges only coalesce keys, so a second pass over the
+        re-rooted keys would seed nothing.  The seen keys stay with the
         session, so a later call on grown levels seeds only the class
         tuples no earlier call covered.
 
@@ -422,25 +401,23 @@ class CongruenceSession:
         more than the other on the universe.  The side cap is checked per
         match, so the representative of a class tuple always passes it.
 
-        budget bounds the merges of the whole call, across its waves and
-        scans.  When it runs out the call stops at once, seeding no
-        further wave: completed is False, as for saturate.  The session
-        keeps the waves of the cut call, and the next
-        saturate_over_classes, on any levels, scans their matches with
-        its own, each once, so it resumes from the seen keys and reaches
-        the closure a call with budget to spare reaches.  Until then
-        plain saturate only drains what is queued and leaves completed
-        False.
+        budget bounds the merges of the whole call, across its waves.
+        When it runs out the call stops at once, seeding no further wave:
+        completed is False, as for saturate.  The session keeps the waves
+        the cut call has not keyed, all of them when the cut came before
+        the first wave, and the next saturate_over_classes, on any
+        levels, keys them along with its own matches; a match both cover
+        finds its key seen the second time.  So it resumes from the seen
+        keys and reaches the closure a call with budget to spare
+        reaches.  Until then plain saturate only drains what is queued
+        and leaves completed False.
         """
         b = self.builder
         if budget is None:
             budget = b.config.saturation_budget
         stop = self.processed + budget
-        matches = _matches(b, levels, max_side_size)
-        if self._unfinished:
-            # a match both calls cover is scanned once
-            matches = dict.fromkeys(chain(chain.from_iterable(self._unfinished), matches))
-            self._unfinished = []
+        matches = chain(chain.from_iterable(self._unfinished), _matches(b, levels, max_side_size))
+        self._unfinished = []
         waves: dict[int, list] = {}
         for match in matches:
             family, _, operands = match
@@ -452,15 +429,12 @@ class CongruenceSession:
         if not self.saturate(budget).completed:
             self._unfinished = scan
             return self
-        while True:
-            fresh = 0
-            for wave in scan:
-                fresh += self._seed_new_classes(wave)
-                if not self.saturate(stop - self.processed).completed:
-                    self._unfinished = scan
-                    return self
-            if not fresh:
+        for i, wave in enumerate(scan):
+            self._seed_new_classes(wave)
+            if not self.saturate(stop - self.processed).completed:
+                self._unfinished = scan[i + 1 :]
                 return self
+        return self
 
     def _seed_new_classes(self, matches) -> int:
         """Seed the matches whose class key is new; return how many were seeded.
@@ -470,9 +444,9 @@ class CongruenceSession:
         the last move.
         """
         find = self.find
-        if self._keyed_at != self.merges:
+        if self._keyed_at != self.processed:
             self._seen = {(k[0], k[1], *map(find, k[2:])) for k in self._seen}
-            self._keyed_at = self.merges
+            self._keyed_at = self.processed
         seen = self._seen
         b = self.builder
         pending = self._pending
@@ -482,7 +456,7 @@ class CongruenceSession:
             if key not in seen:
                 seen.add(key)
                 left, right = _SIDES[family](b, *dirs, *operands)
-                pending.append((left.nid, right.nid, ("seed", family, fresh), None))
+                pending.append((left.nid, right.nid, _seed_reason(family)))
                 fresh += 1
         self.seeded += fresh
         self.completed = False
@@ -532,7 +506,8 @@ class CongruenceSession:
         return {
             "nodes": self._ingested,
             "seeded": self.seeded,
-            "merges": self.merges,
+            # processed counts the merges; reports keep both names
+            "merges": self.processed,
             "processed": self.processed,
             "completed": self.completed,
         }
@@ -540,14 +515,20 @@ class CongruenceSession:
     def merge_reasons(self) -> dict[str, int]:
         """Proof-forest edges by reason: seed, congruence and faces.
 
-        Each merge adds one edge, so the counts sum to ``merges``.  They
-        stay out of stats(), which reports embed.
+        Each merge adds one edge, so the counts sum to ``processed``.
+        They stay out of stats(), which reports embed.
         """
         counts = {"seed": 0, "congruence": 0, "faces": 0}
         for reason in self._pf_reason:
             if reason is not None:
                 counts[reason[0]] += 1
         return counts
+
+
+@cache
+def _seed_reason(family: str) -> tuple[str, str]:
+    """The proof-forest reason of a seeded pair, one tuple per family."""
+    return ("seed", family)
 
 
 def _ring(nxt: list[int], root: int) -> list[int]:

@@ -57,17 +57,6 @@ class TermError(Exception):
 class CompositionMismatch(TermError):
     """Composition attempted on a pair whose boundaries do not meet."""
 
-    def __init__(self, d: int, left: "Term", right: "Term", left_source: "Term", right_target: "Term"):
-        self.d = d
-        self.left = left
-        self.right = right
-        self.left_source = left_source
-        self.right_target = right_target
-        super().__init__(
-            f"comp[{d}]: source of {left.text} is {left_source.text} "
-            f"but target of {right.text} is {right_target.text}"
-        )
-
 
 class KappaError(TermError):
     """Contraction cell requested without a certified parallel pair."""
@@ -308,7 +297,9 @@ class TermBuilder:
         sx = self.boundary(x, d, "s")
         ty = self.boundary(y, d, "t")
         if sx is not ty:
-            raise CompositionMismatch(d, x, y, sx, ty)
+            raise CompositionMismatch(
+                f"comp[{d}]: source of {x.text} is {sx.text} but target of {y.text} is {ty.text}"
+            )
         return self._new(
             key,
             kind=COMP,

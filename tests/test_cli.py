@@ -359,6 +359,22 @@ def test_contract_certifies_the_build(quiver_file, tmp_path):
     assert report["ok"]
     assert len(report["kappa_table"]) == 36
     assert report["invariants_checked"] == 252
+    assert "incomplete" not in report
+
+
+def test_contract_out_of_budget_is_incomplete_not_invalid(quiver_file, tmp_path, capsys):
+    out = tmp_path / "contraction.json"
+    argv = ["contract", quiver_file, "--depth", "2", "--budget", "100", "--out", str(out)]
+    assert run(argv) == 1
+    report = read_report(out)
+    # stage 1 spends its budget before seeding any projection; the checks
+    # that need the finished closure are left out rather than failed
+    assert report["incomplete"] == {"stage": 1, "cause": "budget"}
+    assert report["violations"] == []
+    assert not report["ok"]
+    assert len(report["kappa_table"]) == 36
+    assert report["invariants_checked"] == 180
+    assert "incomplete at stage 1 (budget)" in capsys.readouterr().out
 
 
 def test_eval_computes_product_values(iso_file, tmp_path, quiver_file):

@@ -34,7 +34,7 @@ from omegacube import (
 )
 from omegacube import strict
 from omegacube.acceptance import DIM1_CONFIG, ORACLE_DEPTH, ORACLE_SIDE_CAP, ORACLE_SIZE_CAP
-from omegacube.congruence import _ring
+from omegacube.congruence import _matches, _ring
 from omegacube.relations import NODE_COUNTS, SCHEMES, ground_level, reflector_dirs
 from omegacube.term import KAPPA
 
@@ -489,11 +489,9 @@ def test_audit_confirms_the_fixpoint(saturated):
     assert report.checked == 342788
 
 
-def test_saturation_leaves_no_pending_keys(saturated):
-    # each queue entry releases the key it was queued under
+def test_saturation_leaves_the_queue_empty(saturated):
     assert saturated.completed
     assert not saturated._pending
-    assert not saturated._pending_keys
 
 
 def test_class_members_walk_the_whole_class(saturated):
@@ -630,7 +628,7 @@ def test_manual_merges_propagate_to_faces(quiver):
     assert audit_congruence(session).ok
     reasons = session.merge_reasons()
     assert reasons["faces"] > 0
-    assert sum(reasons.values()) == session.merges
+    assert sum(reasons.values()) == session.processed
 
 
 def test_intern_keys_hold_no_terms(quiver):
@@ -646,7 +644,6 @@ def test_intern_keys_hold_no_terms(quiver):
     assert len(gen_keys) == 5 and all(isinstance(k, tuple) for k in gen_keys)
     assert all(type(k) is int for k, t in keys.items() if t.kind != "gen")
     assert session._sig and all(type(k) is int for k in session._sig)
-    assert session._pending_keys == set()
 
 
 def test_deciding_every_instance_formats_no_text_outside_the_universe(quiver):
@@ -689,6 +686,15 @@ def test_signature_merging_is_congruent(quiver):
 # -- closure over classes ------------------------------------------------
 
 
+def second_pass_seeds(session, levels, cap=None):
+    """Key every match of levels once more, as a second pass over the
+    waves would, and return how many keys it finds unseen."""
+    fresh = session._seed_new_classes(_matches(session.builder, levels, cap))
+    # keying clears completed; with nothing seeded, saturating restores it
+    session.saturate()
+    return fresh
+
+
 def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
     quiver, saturated
 ):
@@ -701,6 +707,9 @@ def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
     assert len(session._seen) == 1787
     assert session.stats()["nodes"] < saturated.stats()["nodes"] // 20
     assert audit_congruence(session).ok
+    # the one pass left no key for a second pass to seed
+    assert second_pass_seeds(session, u.levels) == 0
+    assert session.completed
     # a second call over the same levels finds every class tuple seen: no
     # merge happened since the last scan, so the keys are not moved again
     stats = session.stats()
@@ -792,6 +801,14 @@ def test_class_closure_out_of_budget_seeds_no_further_wave(quiver):
     assert not session.completed
     # only the first wave is seeded before the budget runs out
     assert session.stats()["seeded"] == 10
+    # the session keeps exactly the waves after it, which were never keyed
+    def weight(match):
+        return max(t.weight for t in match[2])
+
+    weights = [weight(m) for m in _matches(u.builder, levels, cap)]
+    kept = [weight(m) for wave in session._unfinished for m in wave]
+    assert kept and min(kept) > min(weights)
+    assert len(kept) == len(weights) - weights.count(min(weights))
     session.saturate_over_classes(levels, max_side_size=cap)
     v, levels, cap = closure_case("oracle-dim1", quiver)
     unbudgeted = CongruenceSession(v).saturate_over_classes(levels, max_side_size=cap)
@@ -829,3 +846,4 @@ def test_class_closure_matches_the_syntactic_one_on_random_quivers(p, cap):
     by_class = CongruenceSession(v).saturate_over_classes(v.levels, max_side_size=cap)
     assert syntactic.completed and by_class.completed
     assert partition_digest(by_class, v) == partition_digest(syntactic, u)
+    assert second_pass_seeds(by_class, v.levels, cap) == 0

@@ -17,6 +17,7 @@ from omegacube import (
     enumerate_free_magma,
     free_on_morphism,
     instantiate_relations,
+    rich_loop_target,
     two_generator_quiver,
     unit_eta,
     universe_as_presentation,
@@ -26,6 +27,7 @@ from omegacube import (
     validate_morphism,
     validate_quiver,
 )
+from omegacube.congruence import _matches
 from omegacube.relations import reflector_dirs
 
 
@@ -371,11 +373,23 @@ def test_contraction_out_of_budget_ends_unknown():
     p = two_generator_quiver(W2_CONFIG)
     cd = build_free_contraction(p, budget=100, **W2_BUILD)
     assert [s.session["completed"] for s in cd.stages] == [True, False, False]
+    assert cd.incomplete_stage() == 1
+    # no violation blames the data for the budget
+    assert validate_contraction(cd).ok
     u = cd.universe
     f, g = (next(t for t in u.all_terms() if t.text == text) for text in ("gen(f)", "gen(g)"))
     verdict = decide_equal(cd.session, f, g)
     assert verdict.verdict == "unknown"
     assert verdict.witness["cause"] == "budget"
+
+
+def test_rich_target_contraction_leaves_no_key_for_a_second_pass():
+    cd = build_free_contraction(rich_loop_target(W2_CONFIG), **W2_BUILD)
+    session = cd.session
+    assert session.completed
+    # every match of the final universe was keyed by some stage's one pass
+    matches = _matches(cd.builder, cd.universe.levels, W2_BUILD["max_side_size"])
+    assert session._seed_new_classes(matches) == 0
 
 
 def test_stages_cut_short_leave_their_waves_to_the_next_closure(quiver):

@@ -1,6 +1,7 @@
 """Every module-level import of the package is used by its module, every
-parameter of a package function is read by its body, and every
-keyword-only parameter is set by some caller."""
+parameter of a package function is read by its body, every
+keyword-only parameter is set by some caller, and every field a package
+class stores is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -254,3 +255,34 @@ def test_every_public_member_is_read_by_a_workflow():
         and not any(attr == name and owner != (cls, name) for attr, owner in reads)
     }
     assert sorted(unread) == []
+
+
+def _stored_fields() -> set[tuple[str, str]]:
+    """(class name, field name) for every ``self.<name>`` a method of a
+    package class assigns."""
+    return {
+        (node.name, n.attr)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for n in ast.walk(item)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "self"
+    }
+
+
+def test_every_stored_field_is_read_by_a_workflow():
+    """Each field a package class stores on self is read as an attribute
+    somewhere in src/, demos/ or perfbench/.
+
+    As for members, reads are matched by name, so a field whose name
+    another class's attribute shares passes whenever either is read.
+    """
+    fields = _stored_fields()
+    assert fields
+    read = {attr for attr, _ in _attribute_reads()}
+    assert sorted(f"{cls}.{name}" for cls, name in fields if name not in read) == []
