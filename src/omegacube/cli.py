@@ -28,6 +28,7 @@ from .models import (
     as_strict_table,
     build_product,
     oracle_compare,
+    word_separator,
 )
 from .presentation import (
     CubicalSetPresentation,
@@ -164,8 +165,6 @@ def _assignment_by_name(
 
 
 def _auto_separators(p: CubicalSetPresentation, level) -> list:
-    from .models import word_separator
-
     dim, dirs = level
     if dim > 1:
         return []

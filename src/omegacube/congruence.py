@@ -155,15 +155,14 @@ class CongruenceSession:
     operations.
 
     Per-node state lives in flat int lists indexed by node id: the
-    union-find parent; a successor ring, where each node points at the
-    next member of its class and a merge splices two rings by swapping
-    the successors of their roots; and the proof forest, whose parent
-    list holds -1 at a root and whose reason list holds the reason of
-    each node's edge to its parent.  Use-lists are allocated on demand:
-    a class with no parent nodes, or one that has been absorbed, holds
-    a shared empty tuple, which nothing appends to.  A queue entry is a
-    plain (a, b, reason) triple; an entry whose pair is already joined
-    when it is popped is skipped.
+    union-find parent, which alone holds the partition (classes() groups
+    terms by root, and the audit reads the classes from it), and the
+    proof forest, whose parent list holds -1 at a root and whose reason
+    list holds the reason of each node's edge to its parent.  Use-lists
+    are allocated on demand: a class with no parent nodes, or one that
+    has been absorbed, holds a shared empty tuple, which nothing appends
+    to.  A queue entry is a plain (a, b, reason) triple; an entry whose
+    pair is already joined when it is popped is skipped.
 
     A signature is one int: the builder's op_key of the node's
     operation over the roots of its arguments.
@@ -173,7 +172,6 @@ class CongruenceSession:
         self.universe = universe
         self.builder = universe.builder
         self._parent: list[int] = []
-        self._next: list[int] = []
         self._class_parents: list[list[int] | tuple] = []
         self._sig: dict[int, int] = {}
         self._pending: deque[tuple[int, int, object]] = deque()
@@ -242,7 +240,6 @@ class CongruenceSession:
             node = arena[self._ingested]
             nid = node.nid
             self._parent.append(nid)
-            self._next.append(nid)
             uses.append(())
             self._pf_parent.append(-1)
             self._pf_reason.append(None)
@@ -282,8 +279,6 @@ class CongruenceSession:
         if len(uses[ra]) < len(uses[rb]):
             ra, rb = rb, ra
         self._parent[rb] = ra
-        nxt = self._next
-        nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
         self.processed += 1
         self._merged += (a, b)
 
@@ -531,16 +526,6 @@ def _seed_reason(family: str) -> tuple[str, str]:
     return ("seed", family)
 
 
-def _ring(nxt: list[int], root: int) -> list[int]:
-    """The node ids on root's successor ring, starting at root."""
-    out = [root]
-    n = nxt[root]
-    while n != root:
-        out.append(n)
-        n = nxt[n]
-    return out
-
-
 def _reason_text(reason: object) -> str:
     kind = reason[0]
     if kind == "seed":
@@ -672,19 +657,16 @@ def audit_congruence(session: CongruenceSession) -> ValidationReport:
                 f"{b.terms[first].text} and {node.text} have equal signatures "
                 "but different classes",
             )
-    for root in range(session._ingested):
-        if session._parent[root] != root or session._next[root] == root:
-            continue
-        members = _ring(session._next, root)
-        base = b.terms[members[0]]
-        for other_nid in members[1:]:
-            other = b.terms[other_nid]
+    # the classes that verdicts read, grouped from the union-find itself
+    for members in session.classes(b.terms[: session._ingested]):
+        base = members[0]
+        for other in members[1:]:
             for d in base.dirs:
                 for side in ("s", "t"):
                     report.checked += 1
                     fa = b.boundary(base, d, side)
                     fb = b.boundary(other, d, side)
-                    if session.find(fa.nid) != session.find(fb.nid):
+                    if find(fa.nid) != find(fb.nid):
                         report.add(
                             "face-closure",
                             base.level,

@@ -68,21 +68,24 @@ class InvolutiveOneCategory:
     @classmethod
     def from_dict(cls, data: dict) -> "InvolutiveOneCategory":
         try:
+            objects = data["objects"]
             arrows = json_object(data["arrows"], "arrows")
             compose = data["compose"]
             # a string unpacks into its characters, so shapes come first
             if not (
-                all(isinstance(ends, list) and len(ends) == 2 for ends in arrows.values())
+                isinstance(objects, list)
+                and all(isinstance(ends, list) and len(ends) == 2 for ends in arrows.values())
                 and isinstance(compose, list)
                 and all(isinstance(entry, list) and len(entry) == 3 for entry in compose)
             ):
                 raise ModelError(
-                    "malformed category data: each arrow needs a list of its two "
-                    "endpoints, and compose a list of [left, right, composite] lists"
+                    "malformed category data: objects need a list of names, each arrow "
+                    "a list of its two endpoints, and compose a list of "
+                    "[left, right, composite] lists"
                 )
             c = cls(
                 name=data.get("name", ""),
-                objects=list(data["objects"]),
+                objects=list(objects),
                 arrows={k: (s, t) for k, (s, t) in arrows.items()},
                 compose={(x, y): z for x, y, z in compose},
                 identity=dict(name_table(data["identity"], "identity")),
@@ -389,13 +392,18 @@ def truncated_free_involutive_category(
     Arrows are the composable letter sequences of length up to max_len
     over the generating arrows and their formal duals, plus an identity
     per object and one absorbing zero arrow per ordered object pair.
-    Composition concatenates and collapses to the zero arrow on
-    overflow; since word length is additive, the collapse is associative
-    and compatible with the star, which reverses a word and flips its
-    letters.  Evaluating a free term here computes its reduced word
-    exactly as long as the word fits, which makes the category a
-    complete separator for terms below the bound.  Raises ModelError
-    once there are more than MAX_WORD_ARROWS arrows.
+    Each arrow carries its word: the letters, () for an identity and
+    None for a zero arrow.  One rule names every composite and every
+    star: the word of a composite is the concatenation, None if either
+    factor's is; the word of a star reverses the letters and flips each
+    one; and the arrow from s to t named by a word is the zero arrow
+    when the word is None or longer than max_len, the identity when it
+    is empty and the word itself otherwise.  Since word length is
+    additive, the collapse is associative and compatible with the star.
+    Evaluating a free term here computes its reduced word exactly as
+    long as the word fits, which makes the category a complete
+    separator for terms below the bound.  Raises ModelError once there
+    are more than MAX_WORD_ARROWS arrows.
     """
     objects = sorted(c.name for c in p.cells.get((0, ()), []))
     gens = p.cells.get((1, (direction,)), [])
@@ -406,24 +414,25 @@ def truncated_free_involutive_category(
         letters[g.name] = (s, t)
         letters[g.name + "'"] = (t, s)
 
-    def zero_name(s: str, t: str) -> str:
-        return f"z.{s}.{t}"
-
-    def id_name(o: str) -> str:
-        return f"e.{o}"
+    def named(word: tuple[str, ...] | None, s: str, t: str) -> str:
+        if word is None or len(word) > max_len:
+            return f"z.{s}.{t}"
+        return ".".join(word) if word else f"e.{s}"
 
     arrows: dict[str, tuple[str, str]] = {}
+    words: dict[str, tuple[str, ...] | None] = {}
     for o in objects:
-        arrows[id_name(o)] = (o, o)
+        name = named((), o, o)
+        arrows[name], words[name] = (o, o), ()
     for s in objects:
         for t in objects:
-            arrows[zero_name(s, t)] = (s, t)
-    words: dict[str, tuple[str, ...]] = {}
+            name = named(None, s, t)
+            arrows[name], words[name] = (s, t), None
     frontier = {(l,): ep for l, ep in letters.items()}
     for _ in range(max_len):
         next_frontier: dict[tuple[str, ...], tuple[str, str]] = {}
         for word, (s, t) in frontier.items():
-            name = ".".join(word)
+            name = named(word, s, t)
             if name not in words:
                 words[name] = word
                 arrows[name] = (s, t)
@@ -440,39 +449,27 @@ def truncated_free_involutive_category(
         return letter[:-1] if letter.endswith("'") else letter + "'"
 
     star: dict[str, str] = {}
-    for o in objects:
-        star[id_name(o)] = id_name(o)
-    for s in objects:
-        for t in objects:
-            star[zero_name(s, t)] = zero_name(t, s)
-    for name, word in words.items():
-        star[name] = ".".join(flip(l) for l in reversed(word))
+    for x, (s, t) in arrows.items():
+        word = words[x]
+        star[x] = named(None if word is None else tuple(flip(l) for l in reversed(word)), t, s)
 
-    ids = {id_name(o) for o in objects}
+    # x composes with y exactly when y ends where x starts
+    by_target: dict[str, list[str]] = {}
+    for y, (_, t) in arrows.items():
+        by_target.setdefault(t, []).append(y)
     compose: dict[tuple[str, str], str] = {}
-    for x, (sx, tx) in arrows.items():
-        for y, (sy, ty) in arrows.items():
-            if sx != ty:
-                continue
-            if x in ids:
-                compose[(x, y)] = y
-            elif y in ids:
-                compose[(x, y)] = x
-            elif x in words and y in words:
-                merged = words[x] + words[y]
-                if len(merged) <= max_len:
-                    compose[(x, y)] = ".".join(merged)
-                else:
-                    compose[(x, y)] = zero_name(sy, tx)
-            else:
-                # at least one absorbing zero arrow in the pair
-                compose[(x, y)] = zero_name(sy, tx)
+    for x, (s, t) in arrows.items():
+        wx = words[x]
+        for y in by_target[s]:
+            wy = words[y]
+            merged = None if wx is None or wy is None else wx + wy
+            compose[(x, y)] = named(merged, arrows[y][0], t)
     return InvolutiveOneCategory(
         name=f"free-words-{max_len}({p.name or 'quiver'})",
         objects=objects,
         arrows=arrows,
         compose=compose,
-        identity={o: id_name(o) for o in objects},
+        identity={o: named((), o, o) for o in objects},
         star=star,
     )
 

@@ -179,8 +179,13 @@ def ground_level(A, level: LevelKey, elems: list, upper: list[int], families, ro
                 for e in dirs:
                     yield "id-hermitian-transverse", (d, e), (x,)
 
+    # one target index per direction, shared by the pairs, assoc and
+    # exchange; it is built where the direction's pairs are listed, so a
+    # builder computes (and may intern) faces in the same order as ever
+    targets = {}
     for d in dirs:
-        pairs = composable_pairs(A, elems, d)
+        targets[d] = by_target = _by_target(A, elems, d)
+        pairs = [(x, y) for x in elems for y in by_target.get(boundary(x, d, "s"), ())]
         if sized:
             # a pair too large on its own is too large under any third operand
             pairs = [(x, y) for x, y in pairs if x.size + y.size < room]
@@ -195,9 +200,8 @@ def ground_level(A, level: LevelKey, elems: list, upper: list[int], families, ro
                 for up in upper:
                     yield "id-functoriality", (d, up), (x, y)
         if "assoc" in families:
-            targets = _by_target(A, elems, d)
             for x, y in pairs:
-                zs = targets.get(boundary(y, d, "s"), ())
+                zs = by_target.get(boundary(y, d, "s"), ())
                 if sized:
                     left = room - x.size - y.size
                     zs = [z for z in zs if z.size < left]
@@ -206,11 +210,11 @@ def ground_level(A, level: LevelKey, elems: list, upper: list[int], families, ro
 
     if "exchange" in families and dim >= 2:
         for e in dirs:
-            e_targets = _by_target(A, elems, e)
+            e_targets = targets[e]
             for f in dirs:
                 if f == e:
                     continue
-                f_targets = _by_target(A, elems, f)
+                f_targets = targets[f]
                 for x in elems:
                     ws = f_targets.get(boundary(x, f, "s"), [])
                     for y in e_targets.get(boundary(x, e, "s"), []):

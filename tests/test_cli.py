@@ -150,6 +150,7 @@ MALFORMED = {
     "category composite naming a list": ("product", _category(compose=[["p11", "p11", []]]), []),
     "category endpoints as a string": ("product", _one_object(arrows={"i": "oo"}), []),
     "category composite as a string": ("product", _one_object(compose=["iii"]), []),
+    "category objects as a string": ("product", _one_object(objects="o"), []),
 }
 
 

@@ -34,7 +34,7 @@ from omegacube import (
 )
 from omegacube import strict
 from omegacube.acceptance import DIM1_CONFIG, ORACLE_DEPTH, ORACLE_SIDE_CAP, ORACLE_SIZE_CAP
-from omegacube.congruence import _matches, _ring
+from omegacube.congruence import _matches
 from omegacube.relations import NODE_COUNTS, SCHEMES, ground_level, reflector_dirs
 from omegacube.term import KAPPA
 
@@ -494,18 +494,6 @@ def test_saturation_leaves_the_queue_empty(saturated):
     assert not saturated._pending
 
 
-def test_class_members_walk_the_whole_class(saturated):
-    ingested = saturated.builder.terms[: saturated.stats()["nodes"]]
-    groups = {}
-    for t in ingested:
-        groups.setdefault(saturated.find(t.nid), set()).add(t.nid)
-    # the successor rings that audit_congruence walks
-    for root, nids in groups.items():
-        members = _ring(saturated._next, root)
-        assert len(members) == len(nids)
-        assert set(members) == nids
-
-
 def partition_digest(session, universe):
     h = hashlib.sha256()
     for group in session.classes(universe.all_terms()):
@@ -555,21 +543,13 @@ def _split_out(session, t):
     """Make t a class of its own, bypassing the closure."""
     for n in range(session.stats()["nodes"]):
         session.find(n)  # flatten, so no other node points through t
-    root = session.find(t.nid)
-    assert root != t.nid
-    prev = root
-    while session._next[prev] != t.nid:
-        prev = session._next[prev]
-    session._next[prev] = session._next[t.nid]
-    session._next[t.nid] = t.nid
+    assert session.find(t.nid) != t.nid
     session._parent[t.nid] = t.nid
 
 
 def _union(session, x, y):
     """Join the classes of x and y, bypassing the closure and the face pass."""
-    rx, ry = session.find(x.nid), session.find(y.nid)
-    session._parent[ry] = rx
-    session._next[rx], session._next[ry] = session._next[ry], session._next[rx]
+    session._parent[session.find(y.nid)] = session.find(x.nid)
 
 
 def test_audit_reports_each_planted_fault_under_its_tag(quiver):

@@ -1,5 +1,7 @@
 """Finite models: factories, products, word normal forms, the oracle."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -224,19 +226,30 @@ def test_rewriting_is_confluent_under_random_strategies(nid, seed):
     assert word_of_reduced(reduced) == normal_form_dim1(t)
 
 
+def table_digest(c):
+    """The sha256 of a category's table, written in one fixed order."""
+    return hashlib.sha256(json.dumps(c.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
 def test_word_category_refuses_more_arrows_than_its_bound():
     target = rich_loop_target()
-    assert len(truncated_free_involutive_category(target, max_len=2).arrows) == 150
+    c = truncated_free_involutive_category(target, max_len=2)
+    assert (len(c.arrows), len(c.compose)) == (150, 11250)
+    assert table_digest(c) == "50b1fddf3f83e690ba0ccbdf4f7a0f32d045d19d162ae45c43885044a0b7a528"
     with pytest.raises(ModelError, match="exceed 2000 arrows"):
         word_separator(target)
 
 
 def test_truncated_word_category_is_a_finite_involutive_model():
     c = truncated_free_involutive_category(QUIVER1, max_len=3)
-    assert len(c.arrows) == 30
+    assert (len(c.arrows), len(c.compose)) == (30, 306)
+    assert table_digest(c) == "29c2e99f9f677ce86aa9138b407769bc8ef837dbd761765755e8b8ac6b745a33"
     strict, involutive = strict_view_reports(c)
     assert strict.ok and involutive.ok
     assert (strict.checked, involutive.checked) == (4251, 339)
+    longer = truncated_free_involutive_category(QUIVER1, max_len=6)
+    assert (len(longer.arrows), len(longer.compose)) == (82, 2274)
+    assert table_digest(longer) == "8026abde3a2bd816e5154c691bbd1df3da2a90207bf8c34cc6d7e3e99fd3d1ce"
 
 
 def test_truncation_absorbs_overflow_into_zero_arrows():
