@@ -39,7 +39,7 @@ from .models import (
     word_oracle_sweep,
     word_separator,
 )
-from .presentation import TruncationConfig, validate_morphism
+from .presentation import TruncationConfig, dirs_with, format_level, validate_morphism
 from .strict import Evaluator, check_universal_factorization, validate_involutive, validate_strict
 from .term import check_cubical_on_terms, enumerate_free_magma
 
@@ -110,8 +110,6 @@ def brute_force_level_counts(p, depth: int) -> dict[str, int]:
     on every call, and candidates are generated by trying every
     operation on every pair of smaller terms.
     """
-    from .presentation import dirs_with, format_level
-
     cfg = p.config
     gen_level = {}
     for (dim, dirs), refs in p.cells.items():

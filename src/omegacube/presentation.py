@@ -111,22 +111,43 @@ class TruncationConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CellRef:
-    """A named cell at a fixed level."""
+    """A named cell at a fixed level.
+
+    Two cells are equal when their dim, dirs and name are, whichever
+    presentation built them.  The level, the printed form and the hash
+    are computed once per cell rather than on every read; the hash is
+    that of (dim, dirs, name), and equality compares the fields one by
+    one without building tuples.
+    """
 
     dim: int
     dirs: Dirs
     name: str
-    # (dim, dirs) and the printed form, built once per cell rather than on
-    # every read; they are not compared, so equality and hashing stay on
-    # (dim, dirs, name)
-    level: LevelKey = field(init=False, repr=False, compare=False)
-    text: str = field(init=False, repr=False, compare=False)
+    level: LevelKey = field(init=False, repr=False)
+    text: str = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "level", (self.dim, self.dirs))
         object.__setattr__(self, "text", f"{format_level(self.level)}:{self.name}")
+        object.__setattr__(self, "_hash", hash((self.dim, self.dirs, self.name)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not CellRef:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.name == other.name
+            and self.dim == other.dim
+            and self.dirs == other.dirs
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.text

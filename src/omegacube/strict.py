@@ -14,6 +14,17 @@ sides in its tables, so a model is checked against the very schemes
 that generate the word problem.  Every failure is reported under the
 scheme's tag with the witnessing cells, directions and values.
 
+Each validator call first resolves the name-keyed tables into maps
+between cells (_resolve): refl and dual one map per direction, comp one
+map per direction, the presentation's faces one map per side and
+direction, so the face-law pass and the schemes cost a dict hit per
+operation.  The maps are dropped when the call returns, so a table
+edited between two calls is checked as edited.  Totality and typing
+(_check_table) stay per entry on the names, and so do refl_of, dual_of
+and comp_of, which the evaluator and a missed map lookup call.  Both
+paths turn an entry into a cell by one rule (_image), under which an
+entry naming an absent cell is an EvalError.
+
 Evaluation interprets free terms in a table via a generator assignment,
 and check_universal_factorization certifies that this interpretation is
 the unique structure-preserving extension of the assignment.
@@ -33,6 +44,7 @@ from .presentation import (
     SetMorphism,
     ValidationReport,
     dirs_with,
+    dirs_without,
     format_level,
     json_object,
     name_table,
@@ -77,25 +89,26 @@ class StrictCategoryTable:
     # -- operation lookups (hard errors; validation reports separately) --
 
     def refl_of(self, cell: CellRef, d: int) -> CellRef:
-        up = (cell.dim + 1, tuple(sorted(cell.dirs + (d,))), d)
-        table = self.refl.get(up, {})
-        if cell.name not in table:
+        dim, dirs = cell.dim + 1, dirs_with(cell.dirs, d)
+        z = _image(self.underlying, self.refl.get((dim, dirs, d)), cell.name, (dim, dirs))
+        if z is None:
             raise EvalError(f"no reflector of {cell} in direction {d}")
-        return self.underlying.cell(up[0], up[1], table[cell.name])
+        return z
 
     def dual_of(self, cell: CellRef, d: int) -> CellRef:
-        table = self.dual.get((cell.dim, cell.dirs, d), {})
-        if cell.name not in table:
+        z = _image(self.underlying, self.dual.get((cell.dim, cell.dirs, d)), cell.name, cell.level)
+        if z is None:
             raise EvalError(f"no dual of {cell} in direction {d}")
-        return self.underlying.cell(cell.dim, cell.dirs, table[cell.name])
+        return z
 
     def comp_of(self, d: int, x: CellRef, y: CellRef) -> CellRef:
-        if x.level != y.level:
+        level = x.level
+        if level != y.level:
             raise EvalError(f"composition of cells at different levels {x} and {y}")
-        table = self.comp.get((x.dim, x.dirs, d), {})
-        if (x.name, y.name) not in table:
+        z = _image(self.underlying, self.comp.get((x.dim, x.dirs, d)), (x.name, y.name), level)
+        if z is None:
             raise EvalError(f"no composite of ({x.name}, {y.name}) in direction {d}")
-        return self.underlying.cell(x.dim, x.dirs, table[(x.name, y.name)])
+        return z
 
     # -- serialization -------------------------------------------------
 
@@ -139,6 +152,10 @@ class StrictCategoryTable:
         refl, dual = tables("refl"), tables("dual")
         comp: dict[OpKey, dict[tuple[str, str], str]] = {}
         for k, triples in json_object(data.get("comp", {}), "comp").items():
+            if not isinstance(triples, list):
+                raise PresentationError(
+                    f"comp table {k!r} must be a list of triples, got {type(triples).__name__}"
+                )
             table: dict[tuple[str, str], str] = {}
             for entry in triples:
                 if not (isinstance(entry, list) and len(entry) == 3):
@@ -151,6 +168,93 @@ class StrictCategoryTable:
         return cls(underlying, refl, dual, comp, name=name)
 
 
+def _image(p: CubicalSetPresentation, table: dict | None, key, level: LevelKey) -> CellRef | None:
+    """The cell of p at level that a name table gives for key, or None
+    when it gives none; an entry naming an absent cell is an EvalError."""
+    name = None if table is None else table.get(key)
+    if name is None:
+        return None
+    z = p._index.get((level, name))
+    if z is None:
+        raise EvalError(f"entry {key!r} names {name!r}, absent at level {format_level(level)}")
+    return z
+
+
+def _resolve(c: StrictCategoryTable) -> SimpleNamespace:
+    """A validator's operations, over maps between cells built for one call.
+
+    An entry _image cannot resolve is left out, and a miss falls back to
+    the table's own lookup (or the presentation's face), which raises
+    the error it always has.
+    """
+    p = c.underlying
+    refl: dict[int, dict[CellRef, CellRef]] = {}
+    dual: dict[int, dict[CellRef, CellRef]] = {}
+    comp: dict[int, dict[CellRef, dict[CellRef, CellRef]]] = {}
+    faces: dict[str, dict[int, dict[CellRef, CellRef]]] = {"s": {}, "t": {}}
+
+    def fill(out: dict, table: dict | None, cells: list, level: LevelKey) -> None:
+        if table is None:
+            return
+        for x in cells:
+            try:
+                z = _image(p, table, x.name, level)
+            except EvalError:
+                continue
+            if z is not None:
+                out[x] = z
+
+    for level, cells in p.cells.items():
+        dim, dirs = level
+        for d in range(1, p.config.dir_universe + 1):
+            if d not in dirs:
+                up = (dim + 1, dirs_with(dirs, d))
+                fill(refl.setdefault(d, {}), c.refl.get((*up, d)), cells, up)
+        for d in dirs:
+            low = (dim - 1, dirs_without(dirs, d))
+            for side in ("s", "t"):
+                fill(faces[side].setdefault(d, {}), p.faces.get((dim, dirs, d, side)), cells, low)
+            fill(dual.setdefault(d, {}), c.dual.get((dim, dirs, d)), cells, level)
+            table = c.comp.get((dim, dirs, d))
+            by_left = comp.setdefault(d, {})
+            for xy in table or ():
+                x = p._index.get((level, xy[0]))
+                y = p._index.get((level, xy[1]))
+                if x is None or y is None:
+                    continue
+                try:
+                    z = _image(p, table, xy, level)
+                except EvalError:
+                    continue
+                by_left.setdefault(x, {})[y] = z
+
+    def refl_op(d: int, x: CellRef) -> CellRef:
+        try:
+            return refl[d][x]
+        except KeyError:
+            return c.refl_of(x, d)
+
+    def dual_op(d: int, x: CellRef) -> CellRef:
+        try:
+            return dual[d][x]
+        except KeyError:
+            return c.dual_of(x, d)
+
+    def comp_op(d: int, x: CellRef, y: CellRef) -> CellRef:
+        try:
+            return comp[d][x][y]
+        except KeyError:
+            return c.comp_of(d, x, y)
+
+    def boundary(x: CellRef, d: int, side: str) -> CellRef:
+        try:
+            return faces[side][d][x]
+        except KeyError:
+            return p.face(x, d, side)
+
+    return SimpleNamespace(refl=refl_op, dual=dual_op, comp=comp_op, boundary=boundary)
+
+
 def validate_strict(c: StrictCategoryTable) -> ValidationReport:
     """Exhaustively check typing, boundary laws, and strictness axioms."""
     p = c.underlying
@@ -161,7 +265,7 @@ def validate_strict(c: StrictCategoryTable) -> ValidationReport:
         # boundary laws below would cascade on broken faces
         return report
 
-    ops = _table_ops(c)
+    ops = _resolve(c)
     for level in p.levels():
         dim, dirs = level
         names = [cell.name for cell in p.cells[level]]
@@ -177,15 +281,17 @@ def validate_strict(c: StrictCategoryTable) -> ValidationReport:
         return report
 
     # every face of every table entry against relations.FACE_LAWS
-    for kind, level, k, operands in _applications(c, ops):
+    boundary = ops.boundary
+    for kind, level, k, operands in _applications(p, ops):
         op = _OP_NAMES[kind]
         z = getattr(ops, op)(k, *operands)
+        law = FACE_LAWS[kind]
         for e in z.dirs:
             for side in ("s", "t"):
                 report.checked += 1
-                got = p.face(z, e, side)
-                want = FACE_LAWS[kind](ops, k, e, side, *operands)
-                if got != want:
+                got = boundary(z, e, side)
+                want = law(ops, k, e, side, *operands)
+                if got is not want and got != want:
                     tag = _AXIS_TAGS[kind, side] if e == k else f"{op}-transverse"
                     cells = ", ".join(repr(x.name) for x in operands)
                     report.add(
@@ -197,7 +303,7 @@ def validate_strict(c: StrictCategoryTable) -> ValidationReport:
     if not report.ok:
         # with boundary laws broken, nested composites below may be undefined
         return report
-    return _check_schemes(c, report, STRICT_SCHEMES)
+    return _check_schemes(p, ops, report, STRICT_SCHEMES)
 
 
 _OP_NAMES = {REFL: "refl", DUAL: "dual", COMP: "comp"}
@@ -251,12 +357,11 @@ def _upper_dirs(p: CubicalSetPresentation, level: LevelKey) -> list[int]:
     return [d for d in reflector_dirs(p.config, level) if (dim + 1, dirs_with(dirs, d)) in p.cells]
 
 
-def _applications(c: StrictCategoryTable, ops: SimpleNamespace):
+def _applications(p: CubicalSetPresentation, ops: SimpleNamespace):
     """Yield (kind, level, direction, operands) for every table entry.
 
     level is that of the operands; a reflector lands one level up.
     """
-    p = c.underlying
     for level in p.levels():
         dirs = level[1]
         upper = _upper_dirs(p, level)
@@ -283,21 +388,11 @@ def validate_involutive(c: StrictCategoryTable) -> ValidationReport:
     if not structural.ok:
         report.merge(structural)
         return report
-    return _check_schemes(c, report, INVOLUTIVE_SCHEMES)
-
-
-def _table_ops(c: StrictCategoryTable) -> SimpleNamespace:
-    """A table's operation lookups in the argument order of the schemes."""
-    return SimpleNamespace(
-        refl=lambda d, x: c.refl_of(x, d),
-        dual=lambda d, x: c.dual_of(x, d),
-        comp=c.comp_of,
-        boundary=c.underlying.face,
-    )
+    return _check_schemes(p, _resolve(c), report, INVOLUTIVE_SCHEMES)
 
 
 def _check_schemes(
-    c: StrictCategoryTable, report: ValidationReport, schemes: dict
+    p: CubicalSetPresentation, ops: SimpleNamespace, report: ValidationReport, schemes: dict
 ) -> ValidationReport:
     """Evaluate both sides of every grounded instance of the schemes in the table.
 
@@ -306,12 +401,11 @@ def _check_schemes(
     cells, the directions and both values, or the side that failed to
     evaluate.
     """
-    p = c.underlying
-    ops = _table_ops(c)
+    checked = 0
     for level in p.levels():
         upper = _upper_dirs(p, level)
         for family, ds, operands in ground_level(ops, level, p.cells[level], upper, schemes):
-            report.checked += 1
+            checked += 1
             try:
                 lhs, rhs = schemes[family](ops, *ds, *operands)
             except EvalError as exc:
@@ -323,6 +417,7 @@ def _check_schemes(
             cells = ", ".join(repr(x.name) for x in operands)
             where = ",".join(map(str, ds))
             report.add(family, level, f"{family} on cells {cells}, direction(s) {where}: {outcome}")
+    report.checked += checked
     return report
 
 
@@ -339,10 +434,10 @@ class GeneratorAssignment:
     name: str = ""
 
     def apply(self, cell: CellRef) -> CellRef:
-        table = self.maps.get(cell.level)
-        if table is None or cell.name not in table:
+        z = _image(self.target.underlying, self.maps.get(cell.level), cell.name, cell.level)
+        if z is None:
             raise EvalError(f"assignment undefined on generator {cell}")
-        return self.target.underlying.cell(cell.dim, cell.dirs, table[cell.name])
+        return z
 
     def as_set_morphism(self) -> SetMorphism:
         return SetMorphism(self.source, self.target.underlying, self.maps, name=self.name)
@@ -376,24 +471,27 @@ class Evaluator:
         self._cache: dict[Term, CellRef] = {}
 
     def eval(self, t: Term) -> CellRef:
-        found = self._cache.get(t)
+        cache = self._cache
+        found = cache.get(t)
         if found is not None:
             return found
-        if t.kind == GEN:
+        kind = t.kind
+        if kind == GEN:
             res = self.assignment.apply(t.cell)
-        elif t.kind == REFL:
-            res = self.table.refl_of(self.eval(t.body), t.d)
-        elif t.kind == DUAL:
-            res = self.table.dual_of(self.eval(t.body), t.d)
-        elif t.kind == COMP:
-            res = self.table.comp_of(t.d, self.eval(t.left), self.eval(t.right))
-        elif t.kind == KAPPA:
+        elif kind == REFL:
+            res = self.table.refl_of(self.eval(t.args[0]), t.d)
+        elif kind == DUAL:
+            res = self.table.dual_of(self.eval(t.args[0]), t.d)
+        elif kind == COMP:
+            x, y = t.args
+            res = self.table.comp_of(t.d, self.eval(x), self.eval(y))
+        elif kind == KAPPA:
             raise EvalError(
                 f"{t.text}: contraction cells have no interpretation in a strict table"
             )
         else:  # pragma: no cover
             raise EvalError(f"unknown node kind {t.kind!r}")
-        self._cache[t] = res
+        cache[t] = res
         return res
 
 

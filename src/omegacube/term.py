@@ -38,6 +38,7 @@ from .presentation import (
     dirs_with,
     faces_commute,
     format_level,
+    make_dirs,
 )
 from .relations import FACE_LAWS
 
@@ -415,8 +416,6 @@ class TermUniverse:
         return sum(len(v) for v in self.levels.values())
 
     def level(self, dim: int, dirs) -> list[Term]:
-        from .presentation import make_dirs
-
         return self.levels.get((dim, make_dirs(dirs)), [])
 
     def all_terms(self):

@@ -69,6 +69,25 @@ def test_validate_flags_a_corrupt_table(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("op", ["refl", "dual", "comp"])
+def test_validate_reports_an_entry_naming_an_absent_cell(op, tmp_path, capsys):
+    # validate_involutive evaluates its schemes on the unchecked table, so
+    # the absent cell must reach it as an undefined side, not an exception
+    data = as_strict_table(pair_groupoid(2)).to_dict()
+    if op == "comp":
+        data["comp"]["1/1/1"][0][2] = "zz"
+    else:
+        table = data[op]["1/1/1"]
+        table[next(iter(table))] = "zz"
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert run(["validate", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    tags = {v["tag"] for v in read_report(out)["violations"]}
+    assert f"{op}-typing" in tags
+
+
 def test_validate_missing_file_is_a_usage_error(tmp_path, capsys):
     assert run(["validate", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -146,6 +165,8 @@ MALFORMED = {
     ),
     "dual naming a list": ("validate", _table(dual={"1/1/1": {"p12": []}}), []),
     "comp entry naming a list": ("validate", _table(comp={"1/1/1": [[["p11"], "p11", "p11"]]}), []),
+    "comp table as a number": ("validate", _table(comp={"1/1/1": 5}), []),
+    "comp table as null": ("validate", _table(comp={"1/1/1": None}), []),
     "category star naming a list": ("product", _category(star={"p12": []}), []),
     "category composite naming a list": ("product", _category(compose=[["p11", "p11", []]]), []),
     "category endpoints as a string": ("product", _one_object(arrows={"i": "oo"}), []),

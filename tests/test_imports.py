@@ -1,7 +1,7 @@
-"""Every module-level import of the package is used by its module, every
-parameter of a package function is read by its body, every
-keyword-only parameter is set by some caller, and every field a package
-class stores is read somewhere."""
+"""Every module-level import of the package is used by its module, no
+function imports a package module, every parameter of a package
+function is read by its body, every keyword-only parameter is set by
+some caller, and every field a package class stores is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -37,6 +37,38 @@ def test_package_modules_use_every_module_level_import():
         if (found := _unused_imports(ast.parse(path.read_text(), filename=str(path))))
     }
     assert unused == {}
+
+
+def _function_local_package_imports(tree: ast.Module) -> list[str]:
+    """Imports of a package module made inside a function body."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if node.level == 0 else ["."]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m == "." or m.split(".")[0] == PACKAGE.name for m in modules):
+                found.add(f"{fn.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_no_function_imports_a_package_module():
+    planted = "def f():\n    from .presentation import make_dirs\n    import omegacube.term\n"
+    assert _function_local_package_imports(ast.parse(planted)) == [
+        "f (line 2)",
+        "f (line 3)",
+    ]
+    local = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := _function_local_package_imports(ast.parse(path.read_text())))
+    }
+    assert local == {}
 
 
 def _unread_parameters(tree: ast.Module) -> list[str]:

@@ -106,6 +106,18 @@ def test_cell_level_is_computed_once(quiver):
     assert CellRef(1, (1,), "g") != cell
 
 
+def test_cells_of_two_presentations_compare_by_their_fields(seed_config):
+    p, q = two_generator_quiver(seed_config), two_generator_quiver(seed_config)
+    f, other = p.cell(1, (1,), "f"), q.cell(1, (1,), "f")
+    assert f is not other
+    assert f == other and hash(f) == hash(other)
+    assert hash(f) == hash((1, (1,), "f"))
+    assert {f: "image"}[other] == "image"
+    assert f != q.cell(1, (1,), "g")
+    assert f != CellRef(1, (2,), "f") and f != CellRef(2, (1, 2), "f")
+    assert f != (1, (1,), "f")
+
+
 def test_face_reads_an_edited_table(seed_config):
     p = two_generator_quiver(seed_config)
     f = p.cell(1, (1,), "f")

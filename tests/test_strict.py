@@ -23,6 +23,7 @@ from omegacube import (
     validate_involutive,
     validate_strict,
     walking_isomorphism,
+    word_separator,
 )
 from omegacube import strict
 from omegacube.cli import _load_json, run
@@ -83,6 +84,18 @@ def test_mistyped_dual_entry_is_reported():
     c.dual[(1, (1,), 1)]["u"] = "zz"
     report = validate_strict(c)
     assert {v.tag for v in report.violations} == {"dual-typing"}
+
+
+def test_an_entry_naming_an_absent_cell_cannot_be_evaluated():
+    c = iso_table()
+    c.dual[(1, (1,), 1)]["u"] = "zz"
+    u = c.underlying.cell(1, (1,), "u")
+    with pytest.raises(EvalError, match="names 'zz', absent at level 1/1"):
+        c.dual_of(u, 1)
+    # validate_involutive reports the undefined sides instead of raising
+    report = validate_involutive(c)
+    assert report.violations
+    assert all("names 'zz', absent" in v.detail for v in report.violations)
 
 
 def test_noncomposable_comp_entry_is_reported():
@@ -207,6 +220,23 @@ def test_face_laws_are_read_by_the_builder_and_the_validator(monkeypatch, quiver
     assert Counter(v.tag for v in report.violations) == {"dual-swap": 48}
 
 
+def test_a_table_edited_between_calls_is_checked_as_edited():
+    c = iso_table()
+    arrows = (1, (1,), 1)
+    assert validate_strict(c).ok and validate_involutive(c).ok
+    good = c.comp[arrows][("u", "v")]
+    c.comp[arrows][("u", "v")] = "ia"
+    report = validate_strict(c)
+    assert not report.ok
+    assert {v.tag for v in report.violations} <= {"comp-source", "comp-target"}
+    c.comp[arrows][("u", "v")] = good
+    assert validate_strict(c).ok
+    c.dual[arrows].update({"u": "u", "v": "v"})
+    assert "star-antihomo" in {v.tag for v in validate_involutive(c).violations}
+    c.dual[arrows].update({"u": "v", "v": "u"})
+    assert validate_involutive(c).ok
+
+
 def test_self_inverse_dual_breaks_antihomomorphism():
     c = iso_table()
     c.dual[(1, (1,), 1)]["u"] = "u"
@@ -247,6 +277,14 @@ def test_validator_check_counts_on_product_tables(
     assert strict.ok and involutive.ok and cubical.ok
     assert (strict.checked, involutive.checked) == (strict_checked, involutive_checked)
     assert cubical.checked == cubical_checked
+
+
+def test_word_separator_of_the_dimension_one_quiver_is_a_model():
+    cfg = TruncationConfig(max_dim=1, dir_universe=1, term_depth=5)
+    table = word_separator(two_generator_quiver(cfg)).target
+    strict, involutive = validate_strict(table), validate_involutive(table)
+    assert strict.ok and involutive.ok
+    assert (strict.checked, involutive.checked) == (70639, 2359)
 
 
 ARROWS = (1, (1,), 1)
