@@ -3,9 +3,9 @@
 At dimension one the word problem has a classical answer: normalize to
 a reduced word (units dropped, double duals cancelled, duals pushed
 onto letters).  That gives an independent oracle.  The sweep below
-plays every unordered pair of enumerated terms against it; a single
-disagreement in either direction would be a bug in one of the two
-implementations.
+decides every unordered pair of enumerated terms with decide_equal and
+plays each verdict against it; a single disagreement in either
+direction would be a bug in one of the two implementations.
 """
 
 from omegacube import (

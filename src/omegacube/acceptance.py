@@ -13,12 +13,7 @@ from __future__ import annotations
 import random
 from time import perf_counter
 
-from .congruence import (
-    CongruenceSession,
-    audit_congruence,
-    decide_equal,
-    instantiate_relations,
-)
+from .congruence import CongruenceSession, audit_congruence, instantiate_relations
 from .contraction import (
     build_free_contraction,
     free_on_morphism,
@@ -29,15 +24,13 @@ from .contraction import (
 from .models import (
     build_product,
     cyclic_group_category,
-    normal_form_dim1,
+    oracle_compare,
     pair_groupoid,
     random_assignment,
     random_set_morphism,
     rich_loop_target,
     two_generator_quiver,
     walking_isomorphism,
-    word_oracle_sweep,
-    word_separator,
 )
 from .presentation import TruncationConfig, dirs_with, format_level, validate_morphism
 from .strict import Evaluator, check_universal_factorization, validate_involutive, validate_strict
@@ -268,39 +261,18 @@ def criterion_relation_provability(seed: int = DEFAULT_SEED) -> dict:
     }
 
 
-def criterion_oracle_equivalence(seed: int = DEFAULT_SEED) -> dict:
-    """Congruence verdicts match reduced words on every small pair."""
-    p = two_generator_quiver(DIM1_CONFIG)
-    separator = word_separator(p)
-    universe = enumerate_free_magma(p, ORACLE_DEPTH, size_cap=ORACLE_SIZE_CAP, max_stage_dim=1)
-    session = CongruenceSession(universe).saturate_over_classes(
-        universe.levels, max_side_size=ORACLE_SIDE_CAP
+def criterion_oracle_equivalence() -> dict:
+    """decide_equal's verdicts match reduced words on every small pair."""
+    report = oracle_compare(
+        two_generator_quiver(DIM1_CONFIG),
+        depth=ORACLE_DEPTH,
+        size_cap=ORACLE_SIZE_CAP,
+        max_side_size=ORACLE_SIDE_CAP,
     )
-    report = word_oracle_sweep(session, separator)
-
-    # spot-check on the same closure that the three-valued front door
-    # agrees with the sweep
-    separators = [separator]
-    rng = random.Random(seed)
-    level_terms = universe.level(1, (1,))
-    spot_checks = 0
-    spot_mismatches = []
-    for _ in range(200):
-        t1, t2 = rng.sample(level_terms, 2)
-        verdict = decide_equal(session, t1, t2, separators).verdict
-        words_equal = str(normal_form_dim1(t1)) == str(normal_form_dim1(t2))
-        spot_checks += 1
-        if (verdict == "equal") != words_equal or verdict == "unknown":
-            spot_mismatches.append({"left": t1.text, "right": t2.text, "verdict": verdict})
-    ok = report.ok and not spot_mismatches
     return {
         "criterion": "oracle-equivalence",
-        "ok": ok,
-        "details": {
-            "sweep": report.to_dict(),
-            "spot_checks": spot_checks,
-            "spot_mismatches": spot_mismatches[:10],
-        },
+        "ok": report.ok,
+        "details": {"sweep": report.to_dict()},
     }
 
 

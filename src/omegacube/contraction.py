@@ -358,8 +358,9 @@ def free_on_morphism(
 
     Generators map through f, operations map structurally, and filler
     cells map to the target's chosen filler of the image pair.  Raises
-    if an image pair was not identified in the target, since then no
-    filler is available.
+    ContractionError if an image pair was not identified in the target,
+    including a pair with a node the target's closure never ingested,
+    since then no filler is available.
     """
     tb = target.builder
     term_map: dict[Term, Term] = {}
@@ -379,7 +380,12 @@ def free_on_morphism(
         elif t.kind == KAPPA:
             ix = phi(t.left)
             iy = phi(t.right)
-            if ix is not iy and not target.session.same(ix, iy):
+            try:
+                identified = ix is iy or target.session.same(ix, iy)
+            except TermError:
+                # a node the target's closure never ingested is in no class
+                identified = False
+            if not identified:
                 raise ContractionError(
                     f"cannot map {t.text}: the image pair ({ix.text}, {iy.text}) "
                     "is not identified in the target"

@@ -11,7 +11,11 @@ level-(n, D) cells are tuples holding an arrow in the slots named by D
 and an object elsewhere, with every operation acting slotwise.  Third,
 independent oracles for dimension one: reduced words over the
 generating arrows, and a length-truncated free involutive category that
-separates distinct words under evaluation.
+separates distinct words under evaluation.  The word oracle sweep
+decides every pair through decide_equal, the same front door that
+users call, with the word model as its separator, and checks each
+verdict against the reduced words, which share no code with the
+closure or the evaluator.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .congruence import CongruenceSession
+from .congruence import CongruenceSession, decide_equal
 from .presentation import (
     CubicalSetPresentation,
     SetMorphism,
@@ -28,7 +32,7 @@ from .presentation import (
     json_object,
     name_table,
 )
-from .strict import GeneratorAssignment, Evaluator, StrictCategoryTable
+from .strict import GeneratorAssignment, StrictCategoryTable
 from .term import (
     COMP,
     DUAL,
@@ -534,7 +538,8 @@ def oracle_compare(
     """Saturate the dimension-<=1 universe, then sweep it against words.
 
     The full relation set is closed over the universe's classes;
-    word_oracle_sweep then judges the closure.
+    word_oracle_sweep then checks decide_equal's verdict on every pair
+    of the closure against reduced words.
     """
     separator = word_separator(p)
     universe = enumerate_free_magma(p, depth, size_cap=size_cap, max_stage_dim=1)
@@ -545,34 +550,33 @@ def oracle_compare(
 
 
 def word_oracle_sweep(session: CongruenceSession, separator: GeneratorAssignment) -> OracleReport:
-    """Compare congruence verdicts with reduced words on every pair.
+    """Compare decide_equal's verdicts with reduced words on every pair.
 
     Sweeps all unordered same-level pairs of objects and of direction-1
     arrows of the session's universe (the word model covers exactly
-    that fragment).  A contradiction is fatal either way round:
-    identified terms with different words, or separated terms with
-    equal words.  Pairs with equal words that the closure failed to
-    identify are listed as incomplete; pairs the word separator cannot
-    tell apart count as unknown.  separator is the word_separator of the
-    universe's presentation; callers build it before the closure, so an
-    input too large for the word model fails before any closure work.
+    that fragment) and decides each one with decide_equal, with the
+    word separator as its only separator.  A contradiction is fatal
+    either way round: Equal terms with different words, or NotEqual
+    terms with equal words.  Unknown pairs with equal words are listed
+    as incomplete: the closure failed to identify them.  separator is
+    the word_separator of the universe's presentation; callers build it
+    before the closure, so an input too large for the word model fails
+    before any closure work.
     """
     universe = session.universe
-    ev = Evaluator(separator)
+    separators = [separator]
     report = OracleReport(universe_size=universe.size, session=session.stats())
     for level, terms in sorted(universe.levels.items()):
         if level[1] not in ((), (1,)):
             continue
-        roots = [session.find(t.nid) for t in terms]
-        images = [ev.eval(t) for t in terms]
         words = [str(normal_form_dim1(t)) for t in terms]
         n = len(terms)
         for i in range(n):
             for j in range(i + 1, n):
                 report.pairs += 1
-                same_class = roots[i] == roots[j]
+                verdict = decide_equal(session, terms[i], terms[j], separators).verdict
                 same_word = words[i] == words[j]
-                if same_class:
+                if verdict == "equal":
                     report.equal_pairs += 1
                     if not same_word:
                         report.contradictions.append(
@@ -583,7 +587,7 @@ def word_oracle_sweep(session: CongruenceSession, separator: GeneratorAssignment
                                 f"differ: {words[i]} vs {words[j]}",
                             }
                         )
-                elif images[i] != images[j]:
+                elif verdict == "not-equal":
                     report.not_equal_pairs += 1
                     if same_word:
                         report.contradictions.append(

@@ -183,9 +183,11 @@ def _image(p: CubicalSetPresentation, table: dict | None, key, level: LevelKey) 
 def _resolve(c: StrictCategoryTable) -> SimpleNamespace:
     """A validator's operations, over maps between cells built for one call.
 
-    An entry _image cannot resolve is left out, and a miss falls back to
-    the table's own lookup (or the presentation's face), which raises
-    the error it always has.
+    An entry _image cannot resolve is left out, and a refl, dual or comp
+    miss falls back to the table's own lookup, which raises the error it
+    always has.  Call it only once validate_quiver has passed on the
+    table's presentation: then every face entry exists and names a cell,
+    so boundary is a plain map read.
     """
     p = c.underlying
     refl: dict[int, dict[CellRef, CellRef]] = {}
@@ -247,10 +249,7 @@ def _resolve(c: StrictCategoryTable) -> SimpleNamespace:
             return c.comp_of(d, x, y)
 
     def boundary(x: CellRef, d: int, side: str) -> CellRef:
-        try:
-            return faces[side][d][x]
-        except KeyError:
-            return p.face(x, d, side)
+        return faces[side][d][x]
 
     return SimpleNamespace(refl=refl_op, dual=dual_op, comp=comp_op, boundary=boundary)
 

@@ -611,6 +611,27 @@ def test_manual_merges_propagate_to_faces(quiver):
     assert sum(reasons.values()) == session.processed
 
 
+def test_equal_trace_names_a_face_merge():
+    u = enumerate_free_magma(two_generator_quiver(DIM1_CONFIG), 1, max_stage_dim=1)
+    f = by_text(u, "gen(f)")
+    g = by_text(u, "gen(g)")
+    session = CongruenceSession(u).seed([RelationInstance("manual", f, g)]).saturate()
+    decision = decide_equal(session, by_text(u, "gen(a)"), by_text(u, "gen(b)"))
+    assert decision.verdict == "equal"
+    assert render_trace(u.builder, decision.witness["trace"]) == [
+        {"left": "gen(a)", "right": "gen(b)", "by": "s-face(1) of a merged pair"}
+    ]
+
+
+def test_same_rejects_a_term_built_after_saturation(quiver):
+    u = enumerate_free_magma(quiver, 1)
+    session = CongruenceSession(u).saturate()
+    f = by_text(u, "gen(f)")
+    late = u.builder.dual(1, u.builder.dual(1, f))
+    with pytest.raises(TermError, match="created after the last saturation pass"):
+        session.same(late, f)
+
+
 def test_intern_keys_hold_no_terms(quiver):
     # keys of ints and strings are untracked by the cyclic collector
     u = enumerate_free_magma(quiver, 2)

@@ -1,6 +1,7 @@
 """Free contractions: filler certification, units, induced maps."""
 
 import copy
+import random
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from omegacube import (
     enumerate_free_magma,
     free_on_morphism,
     instantiate_relations,
+    random_set_morphism,
     rich_loop_target,
     two_generator_quiver,
     unit_eta,
@@ -288,6 +290,16 @@ def test_morphisms_extend_with_naturality(quiver, seed_config, contraction):
     filler = contraction.kappa_of(2, f, padded)
     image = ext.phi(filler)
     assert target.session.same(image, target.builder.refl(2, ext.phi(f)))
+
+
+@pytest.mark.parametrize("budget", [1, 5])
+def test_unidentified_image_pair_is_a_contraction_error(quiver, seed_config, budget):
+    # with budget 1 the image pair holds a node the target never ingested
+    source = build_free_contraction(quiver, depth=2, size_cap=3)
+    target = build_free_contraction(rich_loop_target(seed_config), depth=0, size_cap=3, budget=budget)
+    f = random_set_morphism(quiver, target.presentation, random.Random(0))
+    with pytest.raises(ContractionError, match="is not identified in the target"):
+        free_on_morphism(f, source, target)
 
 
 def test_level_one_classes_of_the_contraction(contraction):

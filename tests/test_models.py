@@ -11,6 +11,7 @@ from omegacube import (
     CongruenceSession,
     InvolutiveOneCategory,
     ModelError,
+    RelationInstance,
     TermBuilder,
     TruncationConfig,
     as_strict_table,
@@ -287,6 +288,42 @@ def test_oracle_detects_a_dropped_relation_family():
     assert report.incomplete
     # soundness is untouched: nothing merged that the words refute
     assert not report.contradictions
+
+
+def planted_sweep_inputs():
+    """The depth-2 universe of the one-direction quiver, and its separator."""
+    p = two_generator_quiver(TruncationConfig(max_dim=1, dir_universe=1))
+    return p, enumerate_free_magma(p, 2, max_stage_dim=1), word_separator(p)
+
+
+def test_oracle_reports_pairs_identified_against_their_words():
+    p, u, separator = planted_sweep_inputs()
+    session = CongruenceSession(u).saturate_over_classes(u.levels)
+    b = u.builder
+    f, g = (b.gen(c) for c in p.cells[(1, (1,))])
+    session.seed([RelationInstance("manual", f, g)]).saturate()
+    report = word_oracle_sweep(session, separator)
+    assert not report.ok
+    assert len(report.contradictions) == 34
+    assert report.contradictions[0] == {
+        "left": "gen(a)",
+        "right": "gen(b)",
+        "problem": "identified by the closure but the words differ: 1(a) vs 1(b)",
+    }
+
+
+def test_oracle_reports_pairs_separated_against_their_words():
+    _, u, separator = planted_sweep_inputs()
+    # f composed with the identity at its source no longer evaluates to f
+    separator.target.comp[(1, (1,), 1)][("f", "e.a")] = "z.a.b"
+    report = word_oracle_sweep(CongruenceSession(u), separator)
+    assert not report.ok
+    assert len(report.contradictions) == 3
+    assert all(
+        c["problem"] == "separated by evaluation but the words agree"
+        and "comp[1](gen(f),id[1](gen(a)))" in (c["left"], c["right"])
+        for c in report.contradictions
+    )
 
 
 @pytest.mark.parametrize("budget", [10, 100])

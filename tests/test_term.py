@@ -184,7 +184,8 @@ def test_depth_one_census_is_exact(quiver):
 
 
 def test_census_matches_independent_enumerator(quiver):
-    for depth in (1, 2):
+    # the reference first computes transverse faces at depth 3
+    for depth in range(1, 6):
         live = enumerate_free_magma(quiver, depth).counts()
         assert live == brute_force_level_counts(quiver, depth)
 
