@@ -51,7 +51,7 @@ from .relations import (
     ground_level,
     reflector_dirs,
 )
-from .strict import EvalError, Evaluator
+from .strict import EvalError, Evaluator, GeneratorAssignment
 from .term import (
     COMP_TAG,
     DUAL_TAG,
@@ -178,7 +178,7 @@ class CongruenceSession:
         self._merged: list[int] = []
         self._pf_parent: list[int] = []
         self._pf_reason: list[object] = []
-        self._images: dict[int, Evaluator] = {}
+        self._images: dict[GeneratorAssignment, Evaluator] = {}
         self._seen: set[tuple] = set()
         self._keyed_at = 0
         self._ingested = 0
@@ -592,10 +592,9 @@ def decide_equal(
     applied = 0
     images = session._images
     for i, assignment in enumerate(separators):
-        # the evaluator holds its assignment, so a memoised id is never reused
-        ev = images.get(id(assignment))
-        if ev is None or ev.assignment is not assignment:
-            ev = images[id(assignment)] = Evaluator(assignment)
+        ev = images.get(assignment)
+        if ev is None:
+            ev = images[assignment] = Evaluator(assignment)
         # a repeated term reads its image straight from the evaluator's memo
         memo = ev._cache
         v1 = memo.get(t1)

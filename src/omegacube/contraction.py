@@ -443,8 +443,6 @@ def validate_contraction_morphism(m: ContractionMorphism) -> ValidationReport:
                         "source but their images are not",
                     )
     for (d, xn, yn), node in sorted(m.source.kappa.items()):
-        if node not in m.term_map:
-            continue
         report.checked += 1
         ix = m.phi(sb.terms[xn])
         iy = m.phi(sb.terms[yn])

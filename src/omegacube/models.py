@@ -407,16 +407,22 @@ def truncated_free_involutive_category(
     Evaluating a free term here computes its reduced word exactly as
     long as the word fits, which makes the category a complete
     separator for terms below the bound.  Raises ModelError once there
-    are more than MAX_WORD_ARROWS arrows.
+    are more than MAX_WORD_ARROWS arrows, and when a name clashes with
+    the word syntax: a generator named as another's dual letter (f and
+    f'), or two arrows under one name (g.f next to g and f).
     """
     objects = sorted(c.name for c in p.cells.get((0, ()), []))
     gens = p.cells.get((1, (direction,)), [])
     letters: dict[str, tuple[str, str]] = {}
+    flip: dict[str, str] = {}
     for g in gens:
         s = p.face(g, direction, "s").name
         t = p.face(g, direction, "t").name
-        letters[g.name] = (s, t)
-        letters[g.name + "'"] = (t, s)
+        dual = g.name + "'"
+        if g.name in letters or dual in letters:
+            raise ModelError(f"generator {g.name!r} clashes with the letter of a dual")
+        letters[g.name], letters[dual] = (s, t), (t, s)
+        flip[g.name], flip[dual] = dual, g.name
 
     def named(word: tuple[str, ...] | None, s: str, t: str) -> str:
         if word is None or len(word) > max_len:
@@ -437,25 +443,23 @@ def truncated_free_involutive_category(
         next_frontier: dict[tuple[str, ...], tuple[str, str]] = {}
         for word, (s, t) in frontier.items():
             name = named(word, s, t)
-            if name not in words:
-                words[name] = word
-                arrows[name] = (s, t)
-                if len(arrows) > MAX_WORD_ARROWS:
-                    raise ModelError(
-                        f"words up to length {max_len} exceed {MAX_WORD_ARROWS} arrows"
-                    )
-                for l, (ls, lt) in letters.items():
-                    if lt == s:
-                        next_frontier[word + (l,)] = (ls, t)
+            if name in words:
+                raise ModelError(f"the word {word} and another arrow are both named {name!r}")
+            words[name] = word
+            arrows[name] = (s, t)
+            if len(arrows) > MAX_WORD_ARROWS:
+                raise ModelError(
+                    f"words up to length {max_len} exceed {MAX_WORD_ARROWS} arrows"
+                )
+            for l, (ls, lt) in letters.items():
+                if lt == s:
+                    next_frontier[word + (l,)] = (ls, t)
         frontier = next_frontier
-
-    def flip(letter: str) -> str:
-        return letter[:-1] if letter.endswith("'") else letter + "'"
 
     star: dict[str, str] = {}
     for x, (s, t) in arrows.items():
         word = words[x]
-        star[x] = named(None if word is None else tuple(flip(l) for l in reversed(word)), t, s)
+        star[x] = named(None if word is None else tuple(flip[l] for l in reversed(word)), t, s)
 
     # x composes with y exactly when y ends where x starts
     by_target: dict[str, list[str]] = {}

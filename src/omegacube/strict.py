@@ -14,16 +14,15 @@ sides in its tables, so a model is checked against the very schemes
 that generate the word problem.  Every failure is reported under the
 scheme's tag with the witnessing cells, directions and values.
 
-Each validator call first resolves the name-keyed tables into maps
-between cells (_resolve): refl and dual one map per direction, comp one
-map per direction, the presentation's faces one map per side and
-direction, so the face-law pass and the schemes cost a dict hit per
-operation.  The maps are dropped when the call returns, so a table
-edited between two calls is checked as edited.  Totality and typing
-(_check_table) stay per entry on the names, and so do refl_of, dual_of
-and comp_of, which the evaluator and a missed map lookup call.  Both
-paths turn an entry into a cell by one rule (_image), under which an
-entry naming an absent cell is an EvalError.
+Each validator call reads the tables through their own lookups,
+refl_of, dual_of, comp_of and the presentation's face, memoised for
+that call (_resolve), so the face-law pass and the schemes pay for a
+lookup once and then a dict hit per operation, and every error reads as
+it does in evaluation.  The memo dies with the call, so a table edited
+between two calls is checked as edited.  Totality and typing
+(_check_table) stay per entry on the names.  One rule (_image) turns an
+entry into a cell, under which an entry naming an absent cell is an
+EvalError.
 
 Evaluation interprets free terms in a table via a generator assignment,
 and check_universal_factorization certifies that this interpretation is
@@ -44,7 +43,6 @@ from .presentation import (
     SetMorphism,
     ValidationReport,
     dirs_with,
-    dirs_without,
     format_level,
     json_object,
     name_table,
@@ -181,77 +179,47 @@ def _image(p: CubicalSetPresentation, table: dict | None, key, level: LevelKey) 
 
 
 def _resolve(c: StrictCategoryTable) -> SimpleNamespace:
-    """A validator's operations, over maps between cells built for one call.
+    """A validator's operations: the table's own lookups, memoised for one call.
 
-    An entry _image cannot resolve is left out, and a refl, dual or comp
-    miss falls back to the table's own lookup, which raises the error it
-    always has.  Call it only once validate_quiver has passed on the
-    table's presentation: then every face entry exists and names a cell,
-    so boundary is a plain map read.
+    Each operation keeps one map per direction (comp one per direction
+    and left operand), filled on a miss by refl_of, dual_of, comp_of or
+    the presentation's face, so a miss raises the error evaluation does.
     """
-    p = c.underlying
-    refl: dict[int, dict[CellRef, CellRef]] = {}
-    dual: dict[int, dict[CellRef, CellRef]] = {}
-    comp: dict[int, dict[CellRef, dict[CellRef, CellRef]]] = {}
+    refls: dict[int, dict[CellRef, CellRef]] = {}
+    duals: dict[int, dict[CellRef, CellRef]] = {}
+    comps: dict[int, dict[CellRef, dict[CellRef, CellRef]]] = {}
     faces: dict[str, dict[int, dict[CellRef, CellRef]]] = {"s": {}, "t": {}}
+    refl_of, dual_of, comp_of, face = c.refl_of, c.dual_of, c.comp_of, c.underlying.face
 
-    def fill(out: dict, table: dict | None, cells: list, level: LevelKey) -> None:
-        if table is None:
-            return
-        for x in cells:
-            try:
-                z = _image(p, table, x.name, level)
-            except EvalError:
-                continue
-            if z is not None:
-                out[x] = z
-
-    for level, cells in p.cells.items():
-        dim, dirs = level
-        for d in range(1, p.config.dir_universe + 1):
-            if d not in dirs:
-                up = (dim + 1, dirs_with(dirs, d))
-                fill(refl.setdefault(d, {}), c.refl.get((*up, d)), cells, up)
-        for d in dirs:
-            low = (dim - 1, dirs_without(dirs, d))
-            for side in ("s", "t"):
-                fill(faces[side].setdefault(d, {}), p.faces.get((dim, dirs, d, side)), cells, low)
-            fill(dual.setdefault(d, {}), c.dual.get((dim, dirs, d)), cells, level)
-            table = c.comp.get((dim, dirs, d))
-            by_left = comp.setdefault(d, {})
-            for xy in table or ():
-                x = p._index.get((level, xy[0]))
-                y = p._index.get((level, xy[1]))
-                if x is None or y is None:
-                    continue
-                try:
-                    z = _image(p, table, xy, level)
-                except EvalError:
-                    continue
-                by_left.setdefault(x, {})[y] = z
-
-    def refl_op(d: int, x: CellRef) -> CellRef:
+    def refl(d: int, x: CellRef) -> CellRef:
         try:
-            return refl[d][x]
+            return refls[d][x]
         except KeyError:
-            return c.refl_of(x, d)
+            z = refls.setdefault(d, {})[x] = refl_of(x, d)
+            return z
 
-    def dual_op(d: int, x: CellRef) -> CellRef:
+    def dual(d: int, x: CellRef) -> CellRef:
         try:
-            return dual[d][x]
+            return duals[d][x]
         except KeyError:
-            return c.dual_of(x, d)
+            z = duals.setdefault(d, {})[x] = dual_of(x, d)
+            return z
 
-    def comp_op(d: int, x: CellRef, y: CellRef) -> CellRef:
+    def comp(d: int, x: CellRef, y: CellRef) -> CellRef:
         try:
-            return comp[d][x][y]
+            return comps[d][x][y]
         except KeyError:
-            return c.comp_of(d, x, y)
+            z = comps.setdefault(d, {}).setdefault(x, {})[y] = comp_of(d, x, y)
+            return z
 
     def boundary(x: CellRef, d: int, side: str) -> CellRef:
-        return faces[side][d][x]
+        try:
+            return faces[side][d][x]
+        except KeyError:
+            z = faces[side].setdefault(d, {})[x] = face(x, d, side)
+            return z
 
-    return SimpleNamespace(refl=refl_op, dual=dual_op, comp=comp_op, boundary=boundary)
+    return SimpleNamespace(refl=refl, dual=dual, comp=comp, boundary=boundary)
 
 
 def validate_strict(c: StrictCategoryTable) -> ValidationReport:
@@ -423,9 +391,13 @@ def _check_schemes(
 # -- evaluation --------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class GeneratorAssignment:
-    """Images in a strict table for every generator of a presentation."""
+    """Images in a strict table for every generator of a presentation.
+
+    Assignments compare and hash by identity, so a session can key its
+    memoised images by the assignment itself.
+    """
 
     source: CubicalSetPresentation
     target: StrictCategoryTable

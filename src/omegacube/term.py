@@ -502,9 +502,6 @@ def enumerate_free_magma(
             t = builder.gen(cell)
             if admit(t):
                 stage0.append(t)
-    for a in atoms_by_stage.get(0, []):
-        if admit(a, force=True):
-            stage0.append(a)
     stages.append(stage0)
     tgt_index.append(index_stage(stage0))
 

@@ -40,8 +40,8 @@ def test_free_magma_enumeration_is_sound_and_exactly_counted(results):
     payload = results["free-magma-soundness"]
     details = payload["details"]
     assert details["identity_violations"] == 0
-    assert details["depth1_counts"] == details["reference_counts"]
-    assert details["depth1_counts"] == {"0/": 3, "1/1": 8, "1/2": 3, "2/1,2": 2}
+    assert details["depth3_counts"] == details["reference_counts"]
+    assert details["depth3_counts"] == {"0/": 3, "1/1": 66, "1/2": 12, "2/1,2": 61}
     verdict(payload)
 
 
@@ -77,6 +77,66 @@ def test_the_instance_check_reports_what_the_class_closure_missed(monkeypatch):
     # 1,233 of the 51,196 instances stay unproved
     assert details["proved_fraction"] == (51196 - 1233) / 51196
     assert all(r.startswith("<star-antihomo: ") for r in details["unproved"])
+
+
+@pytest.fixture()
+def broken_targets(monkeypatch):
+    # one wrong composite in the first product target: comp[2] of a 1-cell
+    # of direction 2 is met only by three-operation terms at the top of the
+    # depth-3 universe, so no deeper composite leaves it undefined
+    real = acceptance._product_targets
+
+    def planted():
+        targets = real()
+        targets[0].comp[(1, (2,), 2)][("a|p11", "a|p11")] = "a|p12"
+        return targets
+
+    monkeypatch.setattr(acceptance, "_product_targets", planted)
+    monkeypatch.setattr(acceptance, "AUDIT_ASSIGNMENTS", 3)
+    monkeypatch.setattr(acceptance, "FACTORIZATION_ASSIGNMENTS", 3)
+
+
+def test_the_evaluation_audit_reports_a_broken_target(broken_targets):
+    payload = acceptance.criterion_relation_provability(SEED)
+    details = payload["details"]
+    assert not payload["ok"]
+    # the closure itself is untouched: every instance is still proved
+    assert details["proved_fraction"] == 1.0 and details["closure_audit_ok"]
+    assert details["evaluation_violations"][0] == {
+        "assignment": 2,
+        "left": "id[2](gen(a))",
+        "right": "comp[2](id[2](gen(a)),id[2](gen(a)))",
+    }
+
+
+def test_universal_factorization_reports_a_broken_target(broken_targets):
+    payload = acceptance.criterion_universal_factorization(SEED)
+    failures = payload["details"]["failures"]
+    assert not payload["ok"]
+    assert [f["assignment"] for f in failures] == [2]
+    assert {v["tag"] for v in failures[0]["violations"]} == {"hom-boundary"}
+
+
+def test_unit_naturality_reports_a_square_that_does_not_commute(monkeypatch):
+    # the target's unit swaps two parallel generators: still a valid map,
+    # so only the naturality square can catch it
+    real = acceptance.unit_eta
+
+    def swapped(cd):
+        eta = real(cd)
+        if cd.presentation.name == "rich-loop-target":
+            m = eta.maps[(1, (1,))]
+            m["Auv"], m["Buv"] = m["Buv"], m["Auv"]
+        return eta
+
+    monkeypatch.setattr(acceptance, "unit_eta", swapped)
+    monkeypatch.setattr(acceptance, "CONTRACTION_DEPTH", 1)
+    monkeypatch.setattr(acceptance, "NATURALITY_MORPHISMS", 1)
+    payload = acceptance.criterion_unit_naturality(SEED)
+    details = payload["details"]
+    assert not payload["ok"]
+    assert details["unit_maps_valid"]
+    assert details["failures"] == [{"morphism": "nat-0", "square_ok": False, "violations": []}]
 
 
 def test_dim_one_closure_matches_the_word_oracle(results):

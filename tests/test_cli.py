@@ -296,6 +296,59 @@ def test_oracle_without_a_word_model_is_a_usage_error(rich_file, capsys, monkeyp
         assert "words up to length 6 exceed 2000 arrows" in capsys.readouterr().err
 
 
+def one_direction_quiver(objects, arrows):
+    """A presentation file body: objects and (name, source, target) arrows."""
+    return {
+        "config": {"max_dim": 1, "dir_universe": 1, "term_depth": 3},
+        "cells": {"0/": objects, "1/1": [n for n, _, _ in arrows]},
+        "faces": {
+            "1/1/1/s": {n: s for n, s, _ in arrows},
+            "1/1/1/t": {n: t for n, _, t in arrows},
+        },
+    }
+
+
+NAME_CLASHES = [
+    pytest.param(
+        one_direction_quiver(["a", "b"], [("f", "a", "b"), ("f'", "b", "a")]),
+        ("gen(f')", "dual[1](gen(f))"),
+        "clashes with the letter of a dual",
+        id="f-and-f'",
+    ),
+    pytest.param(
+        one_direction_quiver(
+            ["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c"), ("g.f", "a", "c")]
+        ),
+        ("comp[1](gen(g),gen(f))", "gen(g.f)"),
+        "are both named 'g.f'",
+        id="g.f-next-to-g-and-f",
+    ),
+]
+
+
+@pytest.mark.parametrize("quiver, pair, message", NAME_CLASHES)
+def test_a_name_clashing_with_the_word_syntax_gets_no_word_model(
+    quiver, pair, message, tmp_path, capsys, monkeypatch
+):
+    # the word model once merged the clashing names: oracle reported
+    # false incomplete pairs and decide a not-separated unknown
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(quiver))
+    out = tmp_path / "decide.json"
+    t1, t2 = pair
+    assert run(["decide", str(path), "--t1", t1, "--t2", t2, "--out", str(out)]) == 1
+    report = read_report(out)
+    assert report["verdict"] == "unknown"
+    assert report["witness"]["cause"] == "no-separator"
+
+    def spy(*args, **kwargs):
+        raise AssertionError("saturate_over_classes ran before the word model failed")
+
+    monkeypatch.setattr(CongruenceSession, "saturate_over_classes", spy)
+    assert run(["oracle", str(path), "--depth", "3"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def word_category_file(tmp_path, plant=None):
     c = truncated_free_involutive_category(two_generator_quiver(), max_len=3)
     if plant:

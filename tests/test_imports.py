@@ -1,9 +1,11 @@
 """Every module-level import of the package is used by its module, no
 function imports a package module, every parameter of a package
 function is read by its body, every keyword-only parameter is set by
-some caller, and every field a package class stores is read somewhere."""
+some caller, every field a package class stores is read somewhere, and
+every call the benchmark makes into the package resolves."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import omegacube
@@ -318,3 +320,60 @@ def test_every_stored_field_is_read_by_a_workflow():
     assert fields
     read = {attr for attr, _ in _attribute_reads()}
     assert sorted(f"{cls}.{name}" for cls, name in fields if name not in read) == []
+
+
+def _is_library(node: ast.expr) -> bool:
+    """The benchmark's handle on the library: ``oc`` or ``self.oc``."""
+    if isinstance(node, ast.Name):
+        return node.id == "oc"
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "oc"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def _unresolved_library_calls(tree: ast.Module) -> tuple[int, list[str]]:
+    """How many ``oc.X(...)`` calls a module makes, and those naming no
+    export of the package or passing a keyword the export does not take."""
+    calls, bad = 0, []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and _is_library(node.func.value)
+        ):
+            continue
+        calls += 1
+        name = node.func.attr
+        export = None if name.startswith("_") else getattr(omegacube, name, None)
+        if export is None:
+            bad.append(f"{name} (line {node.lineno}) is not an export")
+            continue
+        params = inspect.signature(export).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        bad.extend(
+            f"{name}({kw.arg}=) (line {node.lineno})"
+            for kw in node.keywords
+            if kw.arg is not None and kw.arg not in params
+        )
+    return calls, bad
+
+
+def test_every_benchmark_call_resolves_in_the_package():
+    """A benchmark call of a renamed export or a removed keyword fails
+    here, not only when the benchmark runs."""
+    planted = "oc.enumerate_free_magma(p, 2, sizecap=3)\nself.oc.no_such_export()\noc.TermError\n"
+    assert _unresolved_library_calls(ast.parse(planted)) == (
+        2,
+        ["enumerate_free_magma(sizecap=) (line 1)", "no_such_export (line 2) is not an export"],
+    )
+    scripts = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+    scanned = {
+        path.name: _unresolved_library_calls(ast.parse(path.read_text(), filename=str(path)))
+        for path in scripts
+    }
+    assert sum(calls for calls, _ in scanned.values()) > 0
+    assert {name: bad for name, (_, bad) in scanned.items() if bad} == {}

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from omegacube import (
     CongruenceSession,
+    CubicalSetPresentation,
     InvolutiveOneCategory,
     ModelError,
     RelationInstance,
@@ -260,6 +261,20 @@ def test_truncation_absorbs_overflow_into_zero_arrows():
     assert c.compose[("z.b.a", "e.b")] == "z.b.a"
     assert c.star["z.b.a"] == "z.a.b"
     assert c.star["f'.f"] == "f'.f"
+
+
+def test_a_generator_named_like_a_dual_letter_keeps_its_own_star():
+    # alone, f' is an ordinary letter: its dual is f'', and the star of
+    # f' names f'' rather than an absent arrow f
+    p = CubicalSetPresentation(
+        CFG1,
+        cells={(0, ()): ["a", "b"], (1, (1,)): ["f'"]},
+        faces={(1, (1,), 1, "s"): {"f'": "a"}, (1, (1,), 1, "t"): {"f'": "b"}},
+    )
+    c = truncated_free_involutive_category(p, max_len=2)
+    assert c.star["f'"] == "f''" and c.star["f'.f''"] == "f'.f''"
+    strict, involutive = strict_view_reports(c)
+    assert strict.ok and involutive.ok
 
 
 def test_word_separator_separates_and_respects_equality():
