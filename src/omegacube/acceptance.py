@@ -33,7 +33,13 @@ from .models import (
     walking_isomorphism,
 )
 from .presentation import TruncationConfig, dirs_with, format_level, validate_morphism
-from .strict import Evaluator, check_universal_factorization, validate_involutive, validate_strict
+from .strict import (
+    EvalError,
+    Evaluator,
+    check_universal_factorization,
+    validate_involutive,
+    validate_strict,
+)
 from .term import check_cubical_on_terms, enumerate_free_magma
 
 DEFAULT_SEED = 20260825
@@ -200,7 +206,9 @@ def criterion_relation_provability(seed: int = DEFAULT_SEED) -> dict:
 
     The universe is closed over its classes.  Then every syntactic
     instance is built into the arena and saturated with no further
-    seed, so an instance the class closure missed stays unproved.
+    seed, so an instance the class closure missed stays unproved.  A
+    class with a member whose image a target leaves undefined is an
+    evaluation violation tagged eval-undefined.
     """
     p = two_generator_quiver(SEED_CONFIG)
     universe = enumerate_free_magma(p, depth=PROVABILITY_DEPTH)
@@ -224,9 +232,23 @@ def criterion_relation_provability(seed: int = DEFAULT_SEED) -> dict:
         ev = Evaluator(assignment)
         assignments_run += 1
         for members in classes:
-            base = ev.eval(members[0])
-            for m in members[1:]:
-                if ev.eval(m) != base:
+            try:
+                images = [ev.eval(m) for m in members]
+            except EvalError as exc:
+                # a broken target can leave a composite undefined; that
+                # fails the audit instead of aborting the criterion
+                audit_violations.append(
+                    {
+                        "assignment": i,
+                        "tag": "eval-undefined",
+                        "class": members[0].text,
+                        "error": str(exc),
+                    }
+                )
+                continue
+            base = images[0]
+            for m, image in zip(members[1:], images[1:]):
+                if image != base:
                     audit_violations.append(
                         {
                             "assignment": i,

@@ -1,38 +1,28 @@
 """Word problem for free terms, decided by congruence closure.
 
 The quotient that turns the free term algebra into a strict involutive
-structure is generated by the relation schemes of the relations module.
-A universe holding contraction cells adds one more scheme, identifying
+structure is generated by the relation schemes of the relations module,
+plus, in a universe holding contraction cells, one scheme identifying
 each contraction cell with the reflector of its source.
 
 Every workflow closes a universe with
 CongruenceSession.saturate_over_classes, a union-find plus
-signature-table closure that seeds one instance per family, directions
-and tuple of operand classes in one pass over waves of matches (Downey,
-Sethi and Tarjan's congruence closure with the rules fired per class,
-as equality saturation does), so the arena follows the number of
-classes rather than the number of matches.  instantiate_relations
-grounds every scheme over the universe, building every match; it is
-the syntactic reference the class closure is checked against: the
-relation-provability criterion builds every instance into the closed
-session, seeds nothing more, and requires each one decided Equal.
-
-A congruence here must be closed under faces as well, so whenever the
-merge queue drains, one face pass over the pairs merged since the last
-pass queues the faces that still differ, and saturation goes on until
-a pass queues nothing (egg's deferred rebuild, applied to faces).  Neither closure creates a term
-whose operation count exceeds those already present, so saturation
-reaches a fixpoint whenever the budget allows.
+signature-table closure (Downey, Sethi and Tarjan) that seeds one
+instance per family, directions and tuple of operand classes.  It
+grounds the schemes over one representative per row, a class together
+with its members' faces, and re-rows after merges, as egg's per-class
+rebuilding does, so its work and its arena follow the number of classes
+rather than the number of matches.  instantiate_relations builds every
+match; it is the syntactic reference the class closure is checked
+against: the relation-provability criterion builds every instance into
+the closed session, seeds nothing more, and requires each one decided
+Equal.  A congruence here is closed under faces as well, and neither
+closure creates a term whose operation count exceeds those already
+present, so saturation reaches a fixpoint whenever the budget allows.
 
 Verdicts are three-valued.  Equal comes with a merge trace, NotEqual
 requires a separating evaluation into a concrete strict model, and
-anything else is reported as Unknown rather than guessed.  A trace is a
-list of proof-forest steps ``(left nid, right nid, reason)``, the
-reason being the tuple the session stored for that edge, so deciding
-formats no text; render_trace prints one as the ``{"left", "right",
-"by"}`` dicts a report shows.  A session memoises each separator's
-images across decisions, so a separator is read as immutable for the
-session's lifetime.
+anything else is reported as Unknown rather than guessed.
 """
 
 from __future__ import annotations
@@ -40,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 
 from .presentation import ValidationReport, format_level
 from .relations import (
@@ -76,43 +65,51 @@ _SIDES = {**SCHEMES, "contraction-projection": lambda A, d, k, x: (k, A.refl(d, 
 _ALL_FAMILIES = frozenset(FAMILIES)
 
 
-def _matches(builder, levels, max_side_size: int | None):
-    """Yield (family, directions, operands) for every relation match.
-
-    Per level, the scheme matches come in ground_level's order, then one
-    contraction-projection match per contraction cell.  max_side_size
-    drops a scheme match either side of which would exceed the given
-    node count, judged before any term is built.
-    """
+def _schemes(builder, levels, max_side_size: int | None):
+    """Yield (family, directions, operands) for every scheme match of the
+    levels in ground_level's order, less those with a side over
+    max_side_size nodes; a match's largest side, which its family,
+    directions and operand sizes fix, is counted once per such tuple."""
+    largest: dict[tuple, int] = {}
     for level, terms in levels.items():
         upper = reflector_dirs(builder.config, level)
         # every scheme has a side holding each operand once, so a side
         # outgrows the operands' total: the cap is a room for ground_level,
         # which never yields a match whose operands reach it
-        for family, dirs, operands in ground_level(
-            builder, level, terms, upper, _ALL_FAMILIES, max_side_size
-        ):
+        for match in ground_level(builder, level, terms, upper, _ALL_FAMILIES, max_side_size):
             if max_side_size is not None:
-                sizes = [t.size for t in operands]
-                if max(SCHEMES[family](NODE_COUNTS, *dirs, *sizes)) > max_side_size:
+                family, dirs, operands = match
+                key = (family, dirs, *[t.size for t in operands])
+                if key not in largest:
+                    largest[key] = max(SCHEMES[family](NODE_COUNTS, *dirs, *key[2:]))
+                if largest[key] > max_side_size:
                     continue
-            yield family, dirs, operands
-        for t in terms:
-            if t.kind == KAPPA:
-                yield "contraction-projection", (t.d,), (t, t.left)
+            yield match
+
+
+def _projections(terms):
+    """One contraction-projection match per contraction cell of terms."""
+    return (("contraction-projection", (t.d,), (t, t.left)) for t in terms if t.kind == KAPPA)
+
+
+def _matches(builder, levels, max_side_size: int | None):
+    """Yield (family, directions, operands) for every relation match: per
+    level, its scheme matches as _schemes yields them, then one
+    contraction-projection match per contraction cell."""
+    for level, terms in levels.items():
+        yield from _schemes(builder, {level: terms}, max_side_size)
+        yield from _projections(terms)
 
 
 def instantiate_relations(
     universe: TermUniverse, *, max_side_size: int | None = None
 ) -> list[RelationInstance]:
-    """Ground every relation scheme over the terms of a universe.
+    """Build every relation instance over the terms of a universe.
 
-    This builds every match, so it is the syntactic reference that
-    CongruenceSession.saturate_over_classes is checked against.
     max_side_size skips instances either side of which would exceed the
-    given node count, without building them.  Each contraction cell of
-    the universe gets its projection instance; such cells exist only
-    where admit_kappa_pair certified the pair.
+    given node count, without building them.  Each contraction cell, which
+    exists only where admit_kappa_pair certified its pair, gets its
+    projection instance.
     """
     b = universe.builder
     return [
@@ -136,36 +133,25 @@ class CongruenceSession:
     The session tracks every node the builder has ever interned, so
     relation sides and boundary terms created on the fly participate in
     the closure automatically; saturation takes new nodes in only when
-    the arena has grown.  Saturation processes a work queue of merges.
-    Each merge re-signs the parents of the absorbed class, queueing
-    signature collisions (operation compatibility), and adds an edge to
-    the proof forest used to reconstruct merge traces.  Face closure is
-    batched: each merged pair is recorded, and when the queue drains one
-    face pass compares the faces of every recorded pair and queues those
-    that differ.  The fixpoint is an empty queue after a pass; the
-    budget counts merges, not face comparisons.  Union is by use-list
-    size: the class with more parent nodes absorbs the other, so each
-    merge re-signs the shorter use-list.  Proof-forest edges join the
-    merged pair itself, independent of the union direction.  A session
-    may be seeded and saturated repeatedly; later seeds extend the same
-    closure.
-    Contraction cells are treated as atoms: two kappa nodes are never
-    merged by congruence on their arguments, only by seeded relations
-    or faces, which matches their role as chosen fillers rather than
-    operations.
+    the arena has grown.  Each merge re-signs the parents of the absorbed
+    class, queueing signature collisions (operation compatibility), and
+    adds an edge to the proof forest that merge traces are read from.
+    Union is by use-list size, so each merge re-signs the shorter
+    use-list; a proof-forest edge joins the merged pair itself.  A
+    session may be seeded and saturated repeatedly; later seeds extend
+    the same closure.  Contraction cells are atoms: two kappa nodes are
+    merged only by seeded relations or faces, never by congruence on
+    their arguments, as befits chosen fillers.
 
     Per-node state lives in flat int lists indexed by node id: the
-    union-find parent, which alone holds the partition (classes() groups
-    terms by root, and the audit reads the classes from it), and the
-    proof forest, whose parent list holds -1 at a root and whose reason
-    list holds the reason of each node's edge to its parent.  Use-lists
-    are allocated on demand: a class with no parent nodes, or one that
-    has been absorbed, holds a shared empty tuple, which nothing appends
-    to.  A queue entry is a plain (a, b, reason) triple; an entry whose
-    pair is already joined when it is popped is skipped.
-
-    A signature is one int: the builder's op_key of the node's
-    operation over the roots of its arguments.
+    union-find parent, which alone holds the partition, and the proof
+    forest, whose parent list holds -1 at a root and whose reason list
+    holds the reason of each node's edge to its parent.  A class with no
+    parent nodes, or one that has been absorbed, holds a shared empty
+    tuple as its use-list.  A queue entry is a plain (a, b, reason)
+    triple, skipped if its pair is joined when it is popped.  A
+    signature is one int: the builder's op_key of the node's operation
+    over the roots of its arguments.
     """
 
     def __init__(self, universe: TermUniverse):
@@ -185,9 +171,8 @@ class CongruenceSession:
         self.processed = 0
         self.seeded = 0
         self.completed = False
-        # the match waves a saturate_over_classes call cut short left
-        # unkeyed; the next such call keys them with its own matches
-        self._unfinished: list[list] = []
+        # the (levels, side cap) pairs a cut saturate_over_classes call left
+        self._unfinished: list[tuple] = []
         self._ingest_new_nodes()
 
     # union-find ------------------------------------------------------
@@ -303,9 +288,9 @@ class CongruenceSession:
     def _face_pass(self) -> None:
         """Queue the differing faces of every pair merged since the last pass.
 
-        Each merged pair is compared once, direction by direction, so
-        the classes it joined end up closed under faces once the queue
-        drains again.
+        Each merged pair is compared once per direction, so the classes it
+        joined are closed under faces once the queue drains again (egg's
+        deferred rebuild, applied to faces).
         """
         merged, self._merged = self._merged, []
         terms = self.builder.terms
@@ -335,7 +320,7 @@ class CongruenceSession:
         The budget counts merges.  When the queue drains, one face pass
         over the pairs merged since the last pass may queue more; the
         fixpoint is reached when the queue is empty after a pass.  While
-        a saturate_over_classes call cut short has left waves unseeded, a
+        a saturate_over_classes call cut short has left levels to close, a
         drained queue is not the closure and completed stays False.
         """
         if budget is None:
@@ -364,72 +349,86 @@ class CongruenceSession:
                 self._merge(a, b, ra, rb, reason)
 
     def saturate_over_classes(
-        self,
-        levels,
-        *,
-        max_side_size: int | None = None,
-        budget: int | None = None,
+        self, levels, *, max_side_size: int | None = None, budget: int | None = None
     ) -> "CongruenceSession":
         """Close the given levels under the relation schemes, one instance
         per class tuple of operands.
 
-        levels maps a level to its terms, as TermUniverse.levels does;
-        max_side_size restricts the matches as it does for
-        instantiate_relations.  A match is keyed by its family, its
-        directions and the classes of its operands, and only a match
-        whose key the session has not seen is built and seeded.  The
-        projections of contraction cells go first, then the matches in
-        waves of rising largest operand weight, saturating after each
-        wave, so the light instances have merged classes before the
-        heavy matches are keyed.  Each wave is keyed once: after the pass
-        every match was either seeded or shares its key with one that
-        was, and merges only coalesce keys, so a second pass over the
-        re-rooted keys would seed nothing.  The seen keys stay with the
-        session, so a later call on grown levels seeds only the class
-        tuples no earlier call covered.
+        levels maps a level to its terms sorted by (size, text), as
+        TermUniverse.levels does; max_side_size restricts the matches as
+        for instantiate_relations.  A match is keyed by its family, its
+        directions and the classes of its operands; only a match whose key
+        the session has not seen is built and seeded, and the seen keys
+        stay with the session for later calls on grown levels.
 
-        The partition equals that of seeding every instance: an unseeded
-        match has the same operand classes as a seeded one, and its sides
-        are built from its operands by the same scheme, so congruence
-        alone puts them in the classes of the seeded sides.  Every seeded
-        instance is also a syntactic one, so neither closure identifies
-        more than the other on the universe.  The side cap is checked per
-        match, so the representative of a class tuple always passes it.
+        No match list is held.  A row is a class together with its
+        members' faces, as terms, in every direction of their level.  The
+        projections of contraction cells are keyed first, one per cell,
+        since a row's representative need not be a cell.  Then round w,
+        for each weight w in rising order, rows the terms of weight at
+        most w and grounds the schemes over each row's first member,
+        saturating after each round; the round over every term repeats
+        until it merges nothing.
 
-        budget bounds the merges of the whole call, across its waves.
-        When it runs out the call stops at once, seeding no further wave:
-        completed is False, as for saturate.  The session keeps the waves
-        the cut call has not keyed, all of them when the cut came before
-        the first wave, and the next saturate_over_classes, on any
-        levels, keys them along with its own matches; a match both cover
-        finds its key seen the second time.  So it resumes from the seen
-        keys and reaches the closure a call with budget to spare
-        reaches.  Until then plain saturate only drains what is queued
-        and leaves completed False.
+        The partition is that of seeding every instance.  ground_level
+        tests composability only through faces, which a row keeps, so
+        putting each operand of a syntactic match in place of its row's
+        representative gives a match with the same key, and the last
+        round keys the final rows.  So every match shares its operand
+        classes with a seeded one, whose sides the same scheme builds from
+        those operands, and congruence alone puts its sides in their
+        classes; every seeded instance is also a syntactic one.  A level
+        lists its terms by size first, so the side cap passes a
+        representative whenever it passes any member of its row.
+
+        budget bounds the merges of the whole call.  When it runs out the
+        call stops at once, running no further round, and completed is
+        False.  The session keeps the levels the call was closing, with
+        their side cap, and the next saturate_over_classes, on any levels,
+        grounds them with its own, resuming from the seen keys to the
+        closure an uncut call reaches.  Until then plain saturate leaves
+        completed False.
         """
-        b = self.builder
         if budget is None:
-            budget = b.config.saturation_budget
+            budget = self.builder.config.saturation_budget
         stop = self.processed + budget
-        matches = chain(chain.from_iterable(self._unfinished), _matches(b, levels, max_side_size))
+        jobs = [*self._unfinished, (levels, max_side_size)]
         self._unfinished = []
-        waves: dict[int, list] = {}
-        for match in matches:
-            family, _, operands = match
-            # projections come first: each puts a filler in a reflector's
-            # class before any wave keys a match over that filler
-            w = -1 if family == "contraction-projection" else max(t.weight for t in operands)
-            waves.setdefault(w, []).append(match)
-        scan = [waves[w] for w in sorted(waves)]
-        if not self.saturate(budget).completed:
-            self._unfinished = scan
-            return self
-        for i, wave in enumerate(scan):
-            self._seed_new_classes(wave)
-            if not self.saturate(stop - self.processed).completed:
-                self._unfinished = scan[i + 1 :]
+        rounds = self._rounds(jobs)
+        while self.saturate(stop - self.processed).completed:
+            matches = next(rounds, None)
+            if matches is None:
                 return self
+            self._seed_new_classes(matches)
+        self._unfinished = jobs
         return self
+
+    def _rounds(self, jobs):
+        """The matches of each round over jobs, (levels, side cap) pairs;
+        the caller saturates a round before it draws the next."""
+        terms = [t for levels, _ in jobs for ts in levels.values() for t in ts]
+        yield _projections(terms)
+        weights = sorted({t.weight for t in terms})
+        for w in weights[:-1]:
+            yield self._row_matches(jobs, w)
+        before = None
+        while weights and before != self.processed:
+            before = self.processed
+            yield self._row_matches(jobs, weights[-1])
+
+    def _row_matches(self, jobs, weight: int):
+        """Scheme matches over one representative per row, among terms of weight <= weight."""
+        find, boundary = self.find, self.builder.boundary
+        for levels, cap in jobs:
+            rows = {}
+            for (dim, dirs), terms in levels.items():
+                reps: dict[tuple, Term] = {}
+                for t in terms:
+                    if t.weight <= weight:
+                        faces = [boundary(t, d, side) for d in dirs for side in ("s", "t")]
+                        reps.setdefault((find(t.nid), *faces), t)
+                rows[dim, dirs] = list(reps.values())
+            yield from _schemes(self.builder, rows, cap)
 
     def _seed_new_classes(self, matches) -> int:
         """Seed the matches whose class key is new; return how many were seeded.
@@ -561,17 +560,17 @@ def decide_equal(
     the list of proof-forest steps ``(left nid, right nid, reason)``
     leading from t1 to t2, empty when t1 is t2, and render_trace turns
     it into text.  NotEqual only when some separating assignment
-    evaluates the terms to different cells of its target model.  Unknown otherwise,
-    with the session state and a cause in the witness: "budget" when
-    saturation stopped short of its fixpoint, "no-separator" when no
-    separator was given, "no-separator-applied" when every separator
-    failed to evaluate a side, and "not-separated" otherwise.
+    evaluates the terms to different cells of its target model.  Unknown
+    otherwise, with the session state and a cause in the witness:
+    "budget" when saturation stopped short of its fixpoint,
+    "no-separator" when no separator was given, "no-separator-applied"
+    when every separator failed to evaluate a side, and "not-separated"
+    otherwise.
 
-    The session memoises the images of each separator, keyed by the
-    separator object, for as long as it lives: a separator must not be
-    changed once a session has used it.  Images depend on the separator
-    and the term alone, never on the closure, so later seeding and
-    saturation leave them valid.
+    The session memoises each separator's images, keyed by the separator
+    object, for as long as it lives, so a separator must not change once
+    a session has used it.  Images depend on the separator and the term
+    alone, so later seeding and saturation leave them valid.
     """
     # the level is compared field by field, without building either tuple
     if t1.dim != t2.dim or t1.dirs != t2.dirs:

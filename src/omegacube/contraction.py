@@ -131,8 +131,8 @@ def build_free_contraction(
     changed since an earlier stage with saturate_over_classes, whose
     class keys outlive the stage, so an operand-class tuple an earlier
     stage seeded is not seeded again.  budget bounds the merges of each
-    stage's closure; the waves a stage cut short left unkeyed stay with
-    the session, and the next stage's closure keys them in its one pass.
+    stage's closure; the levels a stage cut short was closing stay with
+    the session, and the next stage's closure grounds them with its own.
     A stage cut short records completed False in its session snapshot,
     and incomplete_stage names the first such stage.
 

@@ -507,7 +507,9 @@ def check_universal_factorization(
     assignment.apply and computes every other image from its children's
     images; a second,
     independently coded extension (tabular_extension) must agree node
-    by node, which pins uniqueness on the enumerated fragment.
+    by node, which pins uniqueness on the enumerated fragment.  A term
+    whose image, or a face's image, the table leaves undefined is a
+    violation tagged eval-undefined.
     """
     report = ValidationReport(subject=f"factorization({assignment.name or 'assignment'})")
     report.merge(assignment.validate())
@@ -517,20 +519,30 @@ def check_universal_factorization(
     p = assignment.target.underlying
     b = universe.builder
     for t in universe.all_terms():
-        img = ev.eval(t)
-        for d in t.dirs:
-            for side in ("s", "t"):
-                report.checked += 1
-                lhs = p.face(img, d, side)
-                rhs = ev.eval(b.boundary(t, d, side))
-                if lhs != rhs:
-                    report.add(
-                        "hom-boundary",
-                        t.level,
-                        f"{side}-face({d}) of the image of {t.text} is {lhs.name!r} "
-                        f"but the image of the face is {rhs.name!r}",
-                    )
-    second = tabular_extension(universe, assignment)
+        # a broken table can leave a composite undefined; that fails the
+        # check instead of aborting it
+        try:
+            img = ev.eval(t)
+            for d in t.dirs:
+                for side in ("s", "t"):
+                    report.checked += 1
+                    lhs = p.face(img, d, side)
+                    rhs = ev.eval(b.boundary(t, d, side))
+                    if lhs != rhs:
+                        report.add(
+                            "hom-boundary",
+                            t.level,
+                            f"{side}-face({d}) of the image of {t.text} is {lhs.name!r} "
+                            f"but the image of the face is {rhs.name!r}",
+                        )
+        except EvalError as exc:
+            report.add("eval-undefined", t.level, f"{t.text} or a face of it has no image: {exc}")
+    try:
+        second = tabular_extension(universe, assignment)
+    except EvalError:
+        # both extensions read the same table entries, so the loop above
+        # has already reported each term without an image
+        return report
     for t in universe.all_terms():
         report.checked += 1
         if second[t.nid] != ev.eval(t):

@@ -1,6 +1,7 @@
 """The headline guarantees, one test and one printed verdict per criterion."""
 
 import json
+import random
 
 import pytest
 
@@ -115,6 +116,66 @@ def test_universal_factorization_reports_a_broken_target(broken_targets):
     assert not payload["ok"]
     assert [f["assignment"] for f in failures] == [2]
     assert {v["tag"] for v in failures[0]["violations"]} == {"hom-boundary"}
+
+
+@pytest.fixture()
+def undefined_composite(monkeypatch):
+    # one wrong composite in the first product target: comp[1] of
+    # (ia|o1, v|o1) is set to ia|o1, so a composite deeper terms meet,
+    # (ia|o1, u|o1), has no entry and their images are undefined
+    real = acceptance._product_targets
+
+    def planted():
+        targets = real()
+        targets[0].comp[(1, (1,), 1)][("ia|o1", "v|o1")] = "ia|o1"
+        return targets
+
+    monkeypatch.setattr(acceptance, "_product_targets", planted)
+    monkeypatch.setattr(acceptance, "AUDIT_ASSIGNMENTS", 3)
+    monkeypatch.setattr(acceptance, "FACTORIZATION_ASSIGNMENTS", 3)
+
+
+def test_the_evaluation_audit_reports_an_undefined_composite(undefined_composite):
+    payload = acceptance.criterion_relation_provability(SEED)
+    assert not payload["ok"]
+    assert {
+        "assignment": 2,
+        "tag": "eval-undefined",
+        "class": "comp[1](gen(g),gen(f))",
+        "error": "no composite of (ia|o1, u|o1) in direction 1",
+    } in payload["details"]["evaluation_violations"]
+
+
+def test_universal_factorization_reports_an_undefined_composite(undefined_composite):
+    payload = acceptance.criterion_universal_factorization(SEED)
+    assert not payload["ok"]
+    assert [f["assignment"] for f in payload["details"]["failures"]] == [2]
+    # the criterion shows five violations; the full report of the failing
+    # assignment names the undefined images under their own tag
+    p = acceptance.two_generator_quiver(acceptance.SEED_CONFIG)
+    universe = acceptance.enumerate_free_magma(p, depth=3)
+    rng = random.Random(SEED)
+    targets = acceptance._product_targets()
+    assignments = [
+        acceptance.random_assignment(p, targets[i % 2], rng, name=f"factor-{i}") for i in range(3)
+    ]
+    report = acceptance.check_universal_factorization(assignments[2], universe)
+    tags = {v.tag for v in report.violations}
+    assert tags == {"hom-boundary", "eval-undefined"}
+
+
+def test_check_all_fails_an_undefined_composite_instead_of_aborting(
+    undefined_composite, monkeypatch, tmp_path
+):
+    monkeypatch.setattr(
+        acceptance,
+        "CRITERIA",
+        [acceptance.criterion_relation_provability, acceptance.criterion_universal_factorization],
+    )
+    out = tmp_path / "check-all.json"
+    assert run(["check-all", "--seed", str(SEED), "--out", str(out)]) == 1
+    criteria = json.loads(out.read_text())["criteria"]
+    assert [c["ok"] for c in criteria] == [False, False]
 
 
 def test_unit_naturality_reports_a_square_that_does_not_commute(monkeypatch):

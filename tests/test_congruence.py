@@ -504,6 +504,8 @@ def partition_digest(session, universe):
 # the depth-2 universe closed under only the instances whose sides are
 # squares: the arrow instances among their faces are left unseeded
 SQUARE_SEEDED = "6a14625b84f60ae006fa16893f9a3f57c6189dee586b44f50e765706d36c890f"
+# the 51 classes of the depth-4 universe, as keying every syntactic match gives them
+DEPTH_FOUR_PARTITION = "2fd748fe0f8bdfeae93c8e9118080999aa9c73a940f56de96ce4c32fc3986ed9"
 
 
 @pytest.fixture()
@@ -688,8 +690,8 @@ def test_signature_merging_is_congruent(quiver):
 
 
 def second_pass_seeds(session, levels, cap=None):
-    """Key every match of levels once more, as a second pass over the
-    waves would, and return how many keys it finds unseen."""
+    """Key every syntactic match of levels once more and return how many
+    keys it finds unseen; a closed session leaves none."""
     fresh = session._seed_new_classes(_matches(session.builder, levels, cap))
     # keying clears completed; with nothing seeded, saturating restores it
     session.saturate()
@@ -708,7 +710,7 @@ def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
     assert len(session._seen) == 1787
     assert session.stats()["nodes"] < saturated.stats()["nodes"] // 20
     assert audit_congruence(session).ok
-    # the one pass left no key for a second pass to seed
+    # the rounds over rows left no syntactic match's key unseen
     assert second_pass_seeds(session, u.levels) == 0
     assert session.completed
     # a second call over the same levels finds every class tuple seen: no
@@ -728,6 +730,22 @@ def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
     assert session.stats() == {
         "nodes": 93825, "seeded": 2125, "merges": 93570, "processed": 93570, "completed": True
     }
+
+
+def test_class_closure_partitions_the_depth_four_universe(quiver):
+    # 468 terms; the partition is the one keying every match gives
+    u = enumerate_free_magma(quiver, 4)
+    session = CongruenceSession(u).saturate_over_classes(u.levels)
+    assert session.completed
+    assert u.size == 468
+    assert len(session.classes(u.all_terms())) == 51
+    assert partition_digest(session, u) == DEPTH_FOUR_PARTITION
+    assert len(session._seen) == 4069
+    assert session.stats() == {
+        "nodes": 8199, "seeded": 4407, "merges": 7687, "processed": 7687, "completed": True
+    }
+    assert audit_congruence(session).ok
+    assert second_pass_seeds(session, u.levels) == 0
 
 
 def closure_case(name, quiver):
@@ -760,13 +778,17 @@ def test_class_closure_matches_a_fresh_syntactic_closure(quiver, case):
 
 def test_class_closure_out_of_budget_resumes_from_the_seen_keys(quiver):
     u = enumerate_free_magma(quiver, 2)
-    # the budget runs out in an early wave, before the heavier waves are keyed
+    # the budget runs out in an early round, before the heavier terms are rowed
     session = CongruenceSession(u).saturate_over_classes(u.levels, budget=10)
     assert not session.completed
-    assert session.stats()["processed"] == 10
+    assert session.stats() == {
+        "nodes": 49, "seeded": 18, "merges": 10, "processed": 10, "completed": False
+    }
+    # the session keeps the levels the cut call was closing, not matches
+    assert session._unfinished == [(u.levels, None)]
     f, g = by_text(u, "gen(f)"), by_text(u, "gen(g)")
     assert decide_equal(session, f, g).witness["cause"] == "budget"
-    # draining the queue is not the closure while waves are left unseeded,
+    # draining the queue is not the closure while levels are left to close,
     # also when a term built since makes decide_equal saturate
     b = u.builder
     ida = b.refl(1, by_text(u, "gen(a)"))
@@ -779,6 +801,7 @@ def test_class_closure_out_of_budget_resumes_from_the_seen_keys(quiver):
     # one left unseen and finishes the same closure
     session.saturate_over_classes(u.levels)
     assert session.completed
+    assert session._unfinished == []
     full = enumerate_free_magma(quiver, 2)
     reference = CongruenceSession(full).seed(instantiate_relations(full)).saturate()
     assert partition_digest(session, u) == partition_digest(reference, full)
@@ -787,29 +810,29 @@ def test_class_closure_out_of_budget_resumes_from_the_seen_keys(quiver):
 def test_class_closure_cut_short_is_finished_by_a_call_on_other_levels(quiver):
     u = enumerate_free_magma(quiver, 2)
     session = CongruenceSession(u).saturate_over_classes(u.levels, budget=10)
-    # the session keeps the unseeded waves, so a call that brings no
-    # levels of its own still finishes them
+    # the session keeps the levels it was closing, so a call that brings
+    # no levels of its own still grounds them
     session.saturate_over_classes({})
     assert session.completed
+    assert session._unfinished == []
     full = enumerate_free_magma(quiver, 2)
     reference = CongruenceSession(full).seed(instantiate_relations(full)).saturate()
     assert partition_digest(session, u) == partition_digest(reference, full)
 
 
-def test_class_closure_out_of_budget_seeds_no_further_wave(quiver):
+def test_class_closure_out_of_budget_runs_no_further_round(quiver):
     u, levels, cap = closure_case("oracle-dim1", quiver)
     session = CongruenceSession(u).saturate_over_classes(levels, max_side_size=cap, budget=20)
     assert not session.completed
-    # only the first wave is seeded before the budget runs out
-    assert session.stats()["seeded"] == 10
-    # the session keeps exactly the waves after it, which were never keyed
-    def weight(match):
-        return max(t.weight for t in match[2])
-
-    weights = [weight(m) for m in _matches(u.builder, levels, cap)]
-    kept = [weight(m) for wave in session._unfinished for m in wave]
-    assert kept and min(kept) > min(weights)
-    assert len(kept) == len(weights) - weights.count(min(weights))
+    # the first round keys the weight-0 terms alone; the budget runs out
+    # in its saturation, so exactly its keys are seeded and no later round
+    # keys the heavier terms
+    v, lightest, _ = closure_case("oracle-dim1", quiver)
+    lightest = {lv: [t for t in ts if t.weight == 0] for lv, ts in lightest.items()}
+    first_round = CongruenceSession(v)._seed_new_classes(_matches(v.builder, lightest, cap))
+    assert session.stats()["seeded"] == first_round == 10
+    # the session keeps the levels and their side cap, to ground them whole
+    assert session._unfinished == [(levels, cap)]
     session.saturate_over_classes(levels, max_side_size=cap)
     v, levels, cap = closure_case("oracle-dim1", quiver)
     unbudgeted = CongruenceSession(v).saturate_over_classes(levels, max_side_size=cap)

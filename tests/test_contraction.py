@@ -399,22 +399,30 @@ def test_rich_target_contraction_leaves_no_key_for_a_second_pass():
     cd = build_free_contraction(rich_loop_target(W2_CONFIG), **W2_BUILD)
     session = cd.session
     assert session.completed
-    # every match of the final universe was keyed by some stage's one pass
+    # every match of the final universe has the key of some stage's rows
     matches = _matches(cd.builder, cd.universe.levels, W2_BUILD["max_side_size"])
     assert session._seed_new_classes(matches) == 0
 
 
-def test_stages_cut_short_leave_their_waves_to_the_next_closure(quiver):
-    # the budget runs out in stages 1 and 2; the waves neither seeded stay
-    # with the session, so one more closure, over no new levels, finishes
-    # the closure of the whole final universe
+def test_stages_cut_short_leave_their_levels_to_the_next_closure(quiver):
+    # the budget runs out in stages 1 and 2; the levels each was closing
+    # stay with the session, so one more closure, over no new levels,
+    # finishes the closure of the whole final universe
     cd = build_free_contraction(quiver, depth=2, budget=100)
     assert [s.session["completed"] for s in cd.stages] == [True, False, False]
     session = cd.session
+    u = cd.universe
+    kept = session._unfinished
+    assert [{lv: len(ts) for lv, ts in levels.items()} for levels, _ in kept] == [
+        {(1, (1,)): 22, (1, (2,)): 6}, {(2, (1, 2)): 63}
+    ]
+    assert all(
+        cap is None and ts == u.levels[lv] for levels, cap in kept for lv, ts in levels.items()
+    )
     session.saturate()
     assert not session.completed
     session.saturate_over_classes({})
     assert session.completed
-    u = cd.universe
+    assert session._unfinished == []
     fresh = CongruenceSession(u).seed(instantiate_relations(u)).saturate()
     assert partition(session, u) == partition(fresh, u)

@@ -294,6 +294,18 @@ def test_oracle_sweep_is_clean_on_a_small_slice():
     assert report.pairs == report.equal_pairs + report.not_equal_pairs
 
 
+def test_oracle_sweep_at_depth_five_without_caps():
+    # neither the enumeration nor the closure is capped: 813 terms
+    report = oracle_compare(QUIVER1, depth=5, size_cap=None)
+    assert report.ok
+    assert (report.universe_size, report.pairs, report.equal_pairs) == (813, 327648, 14567)
+    assert report.unknown_pairs == 0
+    assert report.contradictions == [] and report.incomplete == []
+    assert report.session == {
+        "nodes": 11033, "seeded": 5483, "merges": 10306, "processed": 10306, "completed": True
+    }
+
+
 def test_oracle_detects_a_dropped_relation_family():
     u = enumerate_free_magma(QUIVER1, 4, size_cap=5, max_stage_dim=1)
     relations = [r for r in instantiate_relations(u) if r.family != "star-antihomo"]
