@@ -22,7 +22,7 @@ quiver = two_generator_quiver(cfg)
 universe = enumerate_free_magma(quiver, depth=3)
 print(f"universe: {universe.size} terms, per level {universe.counts()}")
 
-session = CongruenceSession(universe).saturate_over_classes(universe.levels)
+session = CongruenceSession(universe).saturate_over_classes()
 print(f"saturated: {session.stats()}")
 
 b = universe.builder

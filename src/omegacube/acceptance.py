@@ -212,7 +212,7 @@ def criterion_relation_provability(seed: int = DEFAULT_SEED) -> dict:
     """
     p = two_generator_quiver(SEED_CONFIG)
     universe = enumerate_free_magma(p, depth=PROVABILITY_DEPTH)
-    session = CongruenceSession(universe).saturate_over_classes(universe.levels)
+    session = CongruenceSession(universe).saturate_over_classes()
     relations = instantiate_relations(universe)
     session.saturate()
     # an instance is proved when its sides share a class; its trace is

@@ -175,10 +175,9 @@ def _auto_separators(p: CubicalSetPresentation, level) -> list:
         return []
 
 
-def _require_valid_category(category: InvolutiveOneCategory, what: str) -> None:
-    """Reject a category file unless its strict view passes both validators."""
-    view = as_strict_table(category)
-    if not (validate_strict(view).ok and validate_involutive(view).ok):
+def _require_valid_table(table: StrictCategoryTable, what: str) -> None:
+    """Reject a category file unless the strict view in use passes both validators."""
+    if not (validate_strict(table).ok and validate_involutive(table).ok):
         raise ValueError(f"{what} is not a valid involutive category")
 
 
@@ -190,18 +189,16 @@ def cmd_decide(args) -> int:
     depth = args.depth if args.depth is not None else p.config.term_depth
     depth = max(depth, t1.weight, t2.weight)
     universe = enumerate_free_magma(builder, depth=depth)
-    session = CongruenceSession(universe).saturate_over_classes(
-        universe.levels, budget=args.budget
-    )
+    session = CongruenceSession(universe).saturate_over_classes(budget=args.budget)
 
     separators = []
     if t1.level == t2.level:
         separators.extend(_auto_separators(p, t1.level))
     for sep_path in args.separator or []:
         category = InvolutiveOneCategory.from_dict(_load_json(sep_path))
-        _require_valid_category(category, f"separator {sep_path}")
         direction = t1.dirs[0] if t1.dim == 1 else 1
         table = as_strict_table(category, direction=direction)
+        _require_valid_table(table, f"separator {sep_path}")
         separators.append(_assignment_by_name(p, table))
 
     decision = decide_equal(session, t1, t2, separators)
@@ -228,7 +225,7 @@ def cmd_decide(args) -> int:
 def cmd_product(args) -> int:
     factors = [InvolutiveOneCategory.from_dict(_load_json(path)) for path in args.paths]
     for path, factor in zip(args.paths, factors):
-        _require_valid_category(factor, f"factor {path}")
+        _require_valid_table(as_strict_table(factor), f"factor {path}")
     max_dim = args.max_dim if args.max_dim is not None else min(2, len(factors))
     cfg = TruncationConfig(max_dim=max_dim, dir_universe=len(factors), term_depth=1)
     table = build_product(factors, cfg)

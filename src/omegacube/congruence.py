@@ -12,11 +12,19 @@ instance per family, directions and tuple of operand classes.  It
 grounds the schemes over one representative per row, a class together
 with its members' faces, and re-rows after merges, as egg's per-class
 rebuilding does, so its work and its arena follow the number of classes
-rather than the number of matches.  instantiate_relations builds every
-match; it is the syntactic reference the class closure is checked
-against: the relation-provability criterion builds every instance into
-the closed session, seeds nothing more, and requires each one decided
-Equal.  A congruence here is closed under faces as well, and neither
+rather than the number of matches.
+
+The session closes its own universe, and it alone decides which levels
+still need closing.  It records each level a call finishes.  A later
+call on a grown universe grounds only the levels that are new or
+changed.  A level a budget cut left open stays open until a call
+finishes it.
+
+instantiate_relations builds every match; it is the syntactic
+reference the class closure is checked against: the
+relation-provability criterion builds every instance into the closed
+session, seeds nothing more, and requires each one decided Equal.  A
+congruence here is closed under faces as well, and neither
 closure creates a term whose operation count exceeds those already
 present, so saturation reaches a fixpoint whenever the budget allows.
 
@@ -171,8 +179,10 @@ class CongruenceSession:
         self.processed = 0
         self.seeded = 0
         self.completed = False
-        # the (levels, side cap) pairs a cut saturate_over_classes call left
-        self._unfinished: list[tuple] = []
+        # level -> (terms, side cap) as a finished saturate_over_classes
+        # call closed it, and the levels a cut call left open
+        self._closed: dict = {}
+        self._open: dict = {}
         self._ingest_new_nodes()
 
     # union-find ------------------------------------------------------
@@ -212,12 +222,6 @@ class CongruenceSession:
             return self.builder.op_key(tag, node.d, self.find(args[0].nid))
         return self.builder.op_key(COMP_TAG, node.d, self.find(args[0].nid), self.find(args[1].nid))
 
-    def _enqueue(self, a: int, b: int, reason: object) -> None:
-        """Queue a merge, dropping a pair of known nodes already joined."""
-        if a < self._ingested and b < self._ingested and self.find(a) == self.find(b):
-            return
-        self._pending.append((a, b, reason))
-
     def _ingest_new_nodes(self) -> None:
         arena = self.builder.terms
         uses = self._class_parents
@@ -241,7 +245,7 @@ class CongruenceSession:
                 if existing is None:
                     self._sig[sig] = nid
                 else:
-                    self._enqueue(existing, nid, ("congruence",))
+                    self._pending.append((existing, nid, ("congruence",)))
 
     # merging ---------------------------------------------------------
 
@@ -282,7 +286,7 @@ class CongruenceSession:
             if existing is None:
                 self._sig[sig] = p
             else:
-                self._enqueue(existing, p, ("congruence",))
+                self._pending.append((existing, p, ("congruence",)))
         uses[ra].extend(moved)
 
     def _face_pass(self) -> None:
@@ -303,7 +307,7 @@ class CongruenceSession:
                     fa = boundary(term_a, d, side)
                     fb = boundary(term_b, d, side)
                     if fa is not fb:
-                        self._enqueue(fa.nid, fb.nid, ("faces", a, b, d, side))
+                        self._pending.append((fa.nid, fb.nid, ("faces", a, b, d, side)))
 
     # public API ------------------------------------------------------
 
@@ -338,7 +342,7 @@ class CongruenceSession:
                     # ingested on the next turn
                     self._face_pass()
                     continue
-                self.completed = not self._unfinished
+                self.completed = not self._open
                 return self
             if self.processed >= stop:
                 self.completed = False
@@ -349,17 +353,18 @@ class CongruenceSession:
                 self._merge(a, b, ra, rb, reason)
 
     def saturate_over_classes(
-        self, levels, *, max_side_size: int | None = None, budget: int | None = None
+        self, *, max_side_size: int | None = None, budget: int | None = None
     ) -> "CongruenceSession":
-        """Close the given levels under the relation schemes, one instance
-        per class tuple of operands.
+        """Close the session's universe under the relation schemes, one
+        instance per class tuple of operands.
 
-        levels maps a level to its terms sorted by (size, text), as
-        TermUniverse.levels does; max_side_size restricts the matches as
-        for instantiate_relations.  A match is keyed by its family, its
-        directions and the classes of its operands; only a match whose key
-        the session has not seen is built and seeded, and the seen keys
-        stay with the session for later calls on grown levels.
+        The call grounds each level of self.universe whose term list it
+        has not closed before under the same side cap; max_side_size
+        restricts the matches as for instantiate_relations.  A match is
+        keyed by its family, its directions and the classes of its
+        operands; only a match whose key the session has not seen is
+        built and seeded, and the seen keys stay with the session, so a
+        call on a grown universe seeds only the class tuples that are new.
 
         No match list is held.  A row is a class together with its
         members' faces, as terms, in every direction of their level.  The
@@ -383,52 +388,53 @@ class CongruenceSession:
 
         budget bounds the merges of the whole call.  When it runs out the
         call stops at once, running no further round, and completed is
-        False.  The session keeps the levels the call was closing, with
-        their side cap, and the next saturate_over_classes, on any levels,
-        grounds them with its own, resuming from the seen keys to the
-        closure an uncut call reaches.  Until then plain saturate leaves
-        completed False.
+        False.  A level counts as closed only once a call finishes it, so
+        the levels a cut call was grounding stay open: the next call
+        grounds them again, from the seen keys, and reaches the closure an
+        uncut call reaches.  Until then plain saturate leaves completed
+        False.
         """
         if budget is None:
             budget = self.builder.config.saturation_budget
         stop = self.processed + budget
-        jobs = [*self._unfinished, (levels, max_side_size)]
-        self._unfinished = []
-        rounds = self._rounds(jobs)
+        cap, closed = max_side_size, self._closed
+        levels = {lv: ts for lv, ts in self.universe.levels.items() if closed.get(lv) != (ts, cap)}
+        self._open = {}
+        rounds = self._rounds(levels, cap)
         while self.saturate(stop - self.processed).completed:
             matches = next(rounds, None)
             if matches is None:
+                closed.update((lv, (ts, cap)) for lv, ts in levels.items())
                 return self
             self._seed_new_classes(matches)
-        self._unfinished = jobs
+        self._open = levels
         return self
 
-    def _rounds(self, jobs):
-        """The matches of each round over jobs, (levels, side cap) pairs;
-        the caller saturates a round before it draws the next."""
-        terms = [t for levels, _ in jobs for ts in levels.values() for t in ts]
+    def _rounds(self, levels, cap: int | None):
+        """The matches of each round over levels under the side cap; the
+        caller saturates a round before it draws the next."""
+        terms = [t for ts in levels.values() for t in ts]
         yield _projections(terms)
         weights = sorted({t.weight for t in terms})
         for w in weights[:-1]:
-            yield self._row_matches(jobs, w)
+            yield self._row_matches(levels, cap, w)
         before = None
         while weights and before != self.processed:
             before = self.processed
-            yield self._row_matches(jobs, weights[-1])
+            yield self._row_matches(levels, cap, weights[-1])
 
-    def _row_matches(self, jobs, weight: int):
+    def _row_matches(self, levels, cap: int | None, weight: int):
         """Scheme matches over one representative per row, among terms of weight <= weight."""
         find, boundary = self.find, self.builder.boundary
-        for levels, cap in jobs:
-            rows = {}
-            for (dim, dirs), terms in levels.items():
-                reps: dict[tuple, Term] = {}
-                for t in terms:
-                    if t.weight <= weight:
-                        faces = [boundary(t, d, side) for d in dirs for side in ("s", "t")]
-                        reps.setdefault((find(t.nid), *faces), t)
-                rows[dim, dirs] = list(reps.values())
-            yield from _schemes(self.builder, rows, cap)
+        rows = {}
+        for (dim, dirs), terms in levels.items():
+            reps: dict[tuple, Term] = {}
+            for t in terms:
+                if t.weight <= weight:
+                    faces = [boundary(t, d, side) for d in dirs for side in ("s", "t")]
+                    reps.setdefault((find(t.nid), *faces), t)
+            rows[dim, dirs] = list(reps.values())
+        return _schemes(self.builder, rows, cap)
 
     def _seed_new_classes(self, matches) -> int:
         """Seed the matches whose class key is new; return how many were seeded.

@@ -11,7 +11,8 @@ contractions of the face pairs.
 
 The build walks dimensions upward with one congruence session shared
 by every stage.  At stage n it enumerates the universe up to dimension
-n, closes the session over the levels whose terms changed, seeding one
+n and hands it to the session, which closes the levels it has not
+closed yet, a level a budget cut left open included, seeding one
 relation instance per class tuple of operands that no earlier stage
 covered (CongruenceSession.saturate_over_classes), and then certifies
 every identified pair at dimension n and admits one contraction cell
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from .congruence import CongruenceSession
 from .presentation import (
     CubicalSetPresentation,
-    LevelKey,
     SetMorphism,
     ValidationReport,
 )
@@ -127,14 +127,14 @@ def build_free_contraction(
     """Build the free contraction over a presentation, stage by stage.
 
     One CongruenceSession serves every stage: each stage points it at
-    the stage's universe and closes it over the levels whose terms
-    changed since an earlier stage with saturate_over_classes, whose
-    class keys outlive the stage, so an operand-class tuple an earlier
-    stage seeded is not seeded again.  budget bounds the merges of each
-    stage's closure; the levels a stage cut short was closing stay with
-    the session, and the next stage's closure grounds them with its own.
-    A stage cut short records completed False in its session snapshot,
-    and incomplete_stage names the first such stage.
+    the stage's universe and calls saturate_over_classes, which grounds
+    only the levels it has not closed before, and whose class keys
+    outlive the stage, so an operand-class tuple an earlier stage seeded
+    is not seeded again.  budget bounds the merges of each stage's
+    closure; a level a stage cut short stays open in the session, and
+    the next stage's closure grounds it again.  A stage cut short records
+    completed False in its session snapshot, and incomplete_stage names
+    the first such stage.
 
     size_cap bounds the node count of enumerated terms; wide
     presentations need it because filler admission grows with the
@@ -149,7 +149,6 @@ def build_free_contraction(
     stages: list[ContractionStage] = []
     universe: TermUniverse | None = None
     session: CongruenceSession | None = None
-    grounded: dict[LevelKey, list[Term]] = {}
 
     for n in range(cfg.max_dim + 1):
         universe = enumerate_free_magma(
@@ -159,13 +158,7 @@ def build_free_contraction(
             session = CongruenceSession(universe)
         else:
             session.universe = universe
-        # matches of a level depend on that level's terms alone, so only
-        # levels whose term list changed since an earlier stage are grounded;
-        # a changed level is grounded whole, and the session's class keys
-        # drop the matches an earlier stage covered
-        changed = {lv: ts for lv, ts in universe.levels.items() if grounded.get(lv) != ts}
-        grounded.update(changed)
-        session.saturate_over_classes(changed, max_side_size=max_side_size, budget=budget)
+        session.saturate_over_classes(max_side_size=max_side_size, budget=budget)
         added = 0
         for level, terms in sorted(universe.levels.items()):
             upper = reflector_dirs(cfg, level)

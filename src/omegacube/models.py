@@ -305,22 +305,30 @@ def rich_loop_target(config: TruncationConfig | None = None) -> CubicalSetPresen
 
 
 def as_strict_table(c: InvolutiveOneCategory, direction: int = 1) -> StrictCategoryTable:
-    """View an involutive 1-category as a 1-truncated strict table."""
-    d = direction
-    config = TruncationConfig(max_dim=1, dir_universe=max(1, d), term_depth=1)
-    cells = {(0, ()): sorted(c.objects), (1, (d,)): sorted(c.arrows)}
-    faces = {
-        (1, (d,), d, "s"): {f: st[0] for f, st in c.arrows.items()},
-        (1, (d,), d, "t"): {f: st[1] for f, st in c.arrows.items()},
-    }
+    """View an involutive 1-category as a 1-truncated strict table.
+
+    The arrows are the 1-cells in the given direction.  Every object has
+    a reflector in each direction of the truncation, so each lower
+    direction holds the identities alone: one 1-cell per object, named
+    as its identity, its own star and composite.
+    """
+    config = TruncationConfig(max_dim=1, dir_universe=max(1, direction), term_depth=1)
+    cells = {(0, ()): sorted(c.objects)}
+    faces, refl, dual, comp = {}, {}, {}, {}
+    for d in range(1, direction + 1):
+        if d == direction:
+            arrows, star, compose = c.arrows, c.star, c.compose
+        else:
+            arrows = {i: (o, o) for o, i in c.identity.items()}
+            star, compose = {i: i for i in arrows}, {(i, i): i for i in arrows}
+        cells[1, (d,)] = sorted(arrows)
+        faces[1, (d,), d, "s"] = {f: st[0] for f, st in arrows.items()}
+        faces[1, (d,), d, "t"] = {f: st[1] for f, st in arrows.items()}
+        refl[1, (d,), d] = dict(c.identity)
+        dual[1, (d,), d] = dict(star)
+        comp[1, (d,), d] = dict(compose)
     underlying = CubicalSetPresentation(config, cells, faces, name=c.name)
-    return StrictCategoryTable(
-        underlying,
-        refl={(1, (d,), d): dict(c.identity)},
-        dual={(1, (d,), d): dict(c.star)},
-        comp={(1, (d,), d): dict(c.compose)},
-        name=c.name,
-    )
+    return StrictCategoryTable(underlying, refl=refl, dual=dual, comp=comp, name=c.name)
 
 
 # -- dimension-1 word oracle ------------------------------------------
@@ -548,7 +556,7 @@ def oracle_compare(
     separator = word_separator(p)
     universe = enumerate_free_magma(p, depth, size_cap=size_cap, max_stage_dim=1)
     session = CongruenceSession(universe).saturate_over_classes(
-        universe.levels, max_side_size=max_side_size, budget=budget
+        max_side_size=max_side_size, budget=budget
     )
     return word_oracle_sweep(session, separator)
 

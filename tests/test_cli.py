@@ -15,6 +15,7 @@ from omegacube import (
     two_generator_quiver,
     walking_isomorphism,
 )
+from omegacube import cli
 from omegacube.cli import run
 
 
@@ -381,6 +382,29 @@ def test_decide_rejects_an_invalid_separator(quiver_file, tmp_path, capsys):
     )
     assert rc == 2
     assert "not a valid involutive category" in capsys.readouterr().err
+
+
+def test_decide_validates_the_separator_view_it_evaluates(iso_file, tmp_path, monkeypatch):
+    # arrows in direction 2 alone: the separator is read in direction 2,
+    # and that view, not the direction-1 one, must pass the validators
+    path = tmp_path / "dir2.json"
+    path.write_text(json.dumps({
+        "config": {"max_dim": 1, "dir_universe": 2, "term_depth": 2},
+        "cells": {"0/": ["a", "b"], "1/2": ["u", "v"]},
+        "faces": {"1/2/2/s": {"u": "a", "v": "b"}, "1/2/2/t": {"u": "b", "v": "a"}},
+    }))
+    validated = []
+    real = cli.validate_strict
+
+    def spy(table):
+        report = real(table)
+        validated.append((sorted(table.underlying.cells), report.ok))
+        return report
+
+    monkeypatch.setattr(cli, "validate_strict", spy)
+    argv = ["decide", str(path), "--t1", "gen(u)", "--t2", "dual[2](gen(u))"]
+    assert run(argv + ["--separator", iso_file]) == 0
+    assert validated == [([(0, ()), (1, (1,)), (1, (2,))], True)]
 
 
 def test_decide_unknown_generator_is_a_usage_error(quiver_file, capsys):

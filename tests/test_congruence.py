@@ -37,6 +37,7 @@ from omegacube.acceptance import DIM1_CONFIG, ORACLE_DEPTH, ORACLE_SIDE_CAP, ORA
 from omegacube.congruence import _matches
 from omegacube.relations import NODE_COUNTS, SCHEMES, ground_level, reflector_dirs
 from omegacube.term import KAPPA
+from reference_closure import ReferenceClosure
 
 
 def by_text(universe, text):
@@ -702,7 +703,7 @@ def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
     quiver, saturated
 ):
     u = enumerate_free_magma(quiver, 3)
-    session = CongruenceSession(u).saturate_over_classes(u.levels)
+    session = CongruenceSession(u).saturate_over_classes()
     assert session.completed
     assert len(session.classes(u.all_terms())) == 38
     assert partition_digest(session, u) == partition_digest(saturated, saturated.universe)
@@ -713,10 +714,9 @@ def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
     # the rounds over rows left no syntactic match's key unseen
     assert second_pass_seeds(session, u.levels) == 0
     assert session.completed
-    # a second call over the same levels finds every class tuple seen: no
-    # merge happened since the last scan, so the keys are not moved again
+    # a second call finds every level closed and grounds none of them
     stats = session.stats()
-    session.saturate_over_classes(u.levels)
+    session.saturate_over_classes()
     assert session.stats() == stats
     assert len(session._seen) == 1787
     # every syntactic instance, built into the arena, is closed by
@@ -735,7 +735,7 @@ def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
 def test_class_closure_partitions_the_depth_four_universe(quiver):
     # 468 terms; the partition is the one keying every match gives
     u = enumerate_free_magma(quiver, 4)
-    session = CongruenceSession(u).saturate_over_classes(u.levels)
+    session = CongruenceSession(u).saturate_over_classes()
     assert session.completed
     assert u.size == 468
     assert len(session.classes(u.all_terms())) == 51
@@ -749,29 +749,35 @@ def test_class_closure_partitions_the_depth_four_universe(quiver):
 
 
 def closure_case(name, quiver):
-    """A universe, the levels to close and the side cap of a named case."""
+    """A universe, the part of it to close and the side cap of a named case."""
     if name == "oracle-dim1":
         p = two_generator_quiver(DIM1_CONFIG)
         u = enumerate_free_magma(p, ORACLE_DEPTH, size_cap=ORACLE_SIZE_CAP, max_stage_dim=1)
-        return u, u.levels, ORACLE_SIDE_CAP
+        return u, u, ORACLE_SIDE_CAP
     # the square levels of the square_seeds universe, whose merges reach
     # the unseeded arrows only through faces
     u = enumerate_free_magma(quiver, 2)
-    return u, {lv: ts for lv, ts in u.levels.items() if lv[0] == 2}, None
+    return u, replace(u, levels={lv: ts for lv, ts in u.levels.items() if lv[0] == 2}), None
+
+
+def reference(u, cap=None):
+    """The plain-pass closure of every relation instance of u."""
+    return ReferenceClosure(u.builder, instantiate_relations(u, max_side_size=cap))
 
 
 @pytest.mark.parametrize("case", ["oracle-dim1", "square-levels"])
 def test_class_closure_matches_a_fresh_syntactic_closure(quiver, case):
-    u, levels, cap = closure_case(case, quiver)
-    rels = instantiate_relations(replace(u, levels=levels), max_side_size=cap)
-    syntactic = CongruenceSession(u).seed(rels).saturate()
-    v, levels, cap = closure_case(case, quiver)
-    by_class = CongruenceSession(v).saturate_over_classes(levels, max_side_size=cap)
-    assert syntactic.completed and by_class.completed
-    assert partition_digest(by_class, v) == partition_digest(syntactic, u)
+    u, part, cap = closure_case(case, quiver)
+    rels = instantiate_relations(part, max_side_size=cap)
+    ref = ReferenceClosure(u.builder, rels)
+    v, part, cap = closure_case(case, quiver)
+    by_class = CongruenceSession(part).saturate_over_classes(max_side_size=cap)
+    assert by_class.completed
+    # both digests read the whole universe, the unseeded levels included
+    assert partition_digest(by_class, v) == partition_digest(ref, u)
     assert by_class.stats()["seeded"] <= len(rels)
     if case == "square-levels":
-        assert syntactic.merge_reasons()["faces"] > 0
+        assert ref.unions["faces"] > 0
         assert by_class.merge_reasons()["faces"] > 0
     assert audit_congruence(by_class).ok
 
@@ -779,16 +785,17 @@ def test_class_closure_matches_a_fresh_syntactic_closure(quiver, case):
 def test_class_closure_out_of_budget_resumes_from_the_seen_keys(quiver):
     u = enumerate_free_magma(quiver, 2)
     # the budget runs out in an early round, before the heavier terms are rowed
-    session = CongruenceSession(u).saturate_over_classes(u.levels, budget=10)
+    session = CongruenceSession(u).saturate_over_classes(budget=10)
     assert not session.completed
     assert session.stats() == {
         "nodes": 49, "seeded": 18, "merges": 10, "processed": 10, "completed": False
     }
-    # the session keeps the levels the cut call was closing, not matches
-    assert session._unfinished == [(u.levels, None)]
+    # the levels the cut call was grounding stay open, none closed
+    assert session._open == u.levels
+    assert session._closed == {}
     f, g = by_text(u, "gen(f)"), by_text(u, "gen(g)")
     assert decide_equal(session, f, g).witness["cause"] == "budget"
-    # draining the queue is not the closure while levels are left to close,
+    # draining the queue is not the closure while levels are left open,
     # also when a term built since makes decide_equal saturate
     b = u.builder
     ida = b.refl(1, by_text(u, "gen(a)"))
@@ -797,49 +804,54 @@ def test_class_closure_out_of_budget_resumes_from_the_seen_keys(quiver):
     assert decide_equal(session, fresh, g).witness["cause"] == "budget"
     session.saturate()
     assert not session.completed
-    # a second call on the same levels seeds the class tuples the first
-    # one left unseen and finishes the same closure
-    session.saturate_over_classes(u.levels)
+    # a second call grounds the open levels again, seeds the class tuples
+    # the first one left unseen and finishes the same closure
+    session.saturate_over_classes()
     assert session.completed
-    assert session._unfinished == []
+    assert session._open == {}
+    assert session._closed == {lv: (ts, None) for lv, ts in u.levels.items()}
     full = enumerate_free_magma(quiver, 2)
-    reference = CongruenceSession(full).seed(instantiate_relations(full)).saturate()
-    assert partition_digest(session, u) == partition_digest(reference, full)
+    assert partition_digest(session, u) == partition_digest(reference(full), full)
 
 
 def test_class_closure_cut_short_is_finished_by_a_call_on_other_levels(quiver):
     u = enumerate_free_magma(quiver, 2)
-    session = CongruenceSession(u).saturate_over_classes(u.levels, budget=10)
-    # the session keeps the levels it was closing, so a call that brings
-    # no levels of its own still grounds them
-    session.saturate_over_classes({})
+    arrows = replace(u, levels={lv: ts for lv, ts in u.levels.items() if lv[0] <= 1})
+    session = CongruenceSession(arrows).saturate_over_classes(budget=10)
+    assert not session.completed
+    assert session._open == arrows.levels
+    # the universe grows by the square levels; the arrow levels did not
+    # change, yet no call finished them, so the next call grounds them too
+    session.universe = u
+    session.saturate_over_classes()
     assert session.completed
-    assert session._unfinished == []
+    assert session._open == {}
+    assert set(session._closed) == set(u.levels)
     full = enumerate_free_magma(quiver, 2)
-    reference = CongruenceSession(full).seed(instantiate_relations(full)).saturate()
-    assert partition_digest(session, u) == partition_digest(reference, full)
+    assert partition_digest(session, u) == partition_digest(reference(full), full)
 
 
 def test_class_closure_out_of_budget_runs_no_further_round(quiver):
-    u, levels, cap = closure_case("oracle-dim1", quiver)
-    session = CongruenceSession(u).saturate_over_classes(levels, max_side_size=cap, budget=20)
+    u, _, cap = closure_case("oracle-dim1", quiver)
+    session = CongruenceSession(u).saturate_over_classes(max_side_size=cap, budget=20)
     assert not session.completed
     # the first round keys the weight-0 terms alone; the budget runs out
     # in its saturation, so exactly its keys are seeded and no later round
     # keys the heavier terms
-    v, lightest, _ = closure_case("oracle-dim1", quiver)
-    lightest = {lv: [t for t in ts if t.weight == 0] for lv, ts in lightest.items()}
+    v, _, _ = closure_case("oracle-dim1", quiver)
+    lightest = {lv: [t for t in ts if t.weight == 0] for lv, ts in v.levels.items()}
     first_round = CongruenceSession(v)._seed_new_classes(_matches(v.builder, lightest, cap))
     assert session.stats()["seeded"] == first_round == 10
-    # the session keeps the levels and their side cap, to ground them whole
-    assert session._unfinished == [(levels, cap)]
-    session.saturate_over_classes(levels, max_side_size=cap)
-    v, levels, cap = closure_case("oracle-dim1", quiver)
-    unbudgeted = CongruenceSession(v).saturate_over_classes(levels, max_side_size=cap)
+    # every level stays open, to be grounded whole by the next call
+    assert session._open == u.levels
+    session.saturate_over_classes(max_side_size=cap)
+    v, _, cap = closure_case("oracle-dim1", quiver)
+    unbudgeted = CongruenceSession(v).saturate_over_classes(max_side_size=cap)
     assert session.stats() == unbudgeted.stats() == {
         "nodes": 1366, "seeded": 583, "merges": 1299, "processed": 1299, "completed": True
     }
-    assert partition_digest(session, u) == partition_digest(unbudgeted, v)
+    w, _, cap = closure_case("oracle-dim1", quiver)
+    assert partition_digest(session, u) == partition_digest(reference(w, cap), w)
 
 
 @st.composite
@@ -865,9 +877,8 @@ def small_quivers(draw):
 @given(p=small_quivers(), cap=st.sampled_from([None, 7]))
 def test_class_closure_matches_the_syntactic_one_on_random_quivers(p, cap):
     u = enumerate_free_magma(p, 2, size_cap=3)
-    syntactic = CongruenceSession(u).seed(instantiate_relations(u, max_side_size=cap)).saturate()
     v = enumerate_free_magma(p, 2, size_cap=3)
-    by_class = CongruenceSession(v).saturate_over_classes(v.levels, max_side_size=cap)
-    assert syntactic.completed and by_class.completed
-    assert partition_digest(by_class, v) == partition_digest(syntactic, u)
+    by_class = CongruenceSession(v).saturate_over_classes(max_side_size=cap)
+    assert by_class.completed
+    assert partition_digest(by_class, v) == partition_digest(reference(u, cap), u)
     assert second_pass_seeds(by_class, v.levels, cap) == 0

@@ -31,6 +31,7 @@ from omegacube import (
 )
 from omegacube.congruence import _matches
 from omegacube.relations import reflector_dirs
+from reference_closure import ReferenceClosure
 
 
 def by_text(cd, text):
@@ -324,8 +325,8 @@ def build_with_stage_snapshots(monkeypatch, p, **kwargs):
     snapshots = []
     close = CongruenceSession.saturate_over_classes
 
-    def spy(self, levels, **kwargs):
-        out = close(self, levels, **kwargs)
+    def spy(self, **kwargs):
+        out = close(self, **kwargs)
         snapshots.append((self.universe, partition(self, self.universe)))
         return out
 
@@ -405,24 +406,24 @@ def test_rich_target_contraction_leaves_no_key_for_a_second_pass():
 
 
 def test_stages_cut_short_leave_their_levels_to_the_next_closure(quiver):
-    # the budget runs out in stages 1 and 2; the levels each was closing
-    # stay with the session, so one more closure, over no new levels,
-    # finishes the closure of the whole final universe
+    # the budget runs out in stages 1 and 2; no stage finishes the levels
+    # it grounds, so they stay open in the session, and one more closure
+    # of the unchanged final universe finishes it
     cd = build_free_contraction(quiver, depth=2, budget=100)
     assert [s.session["completed"] for s in cd.stages] == [True, False, False]
     session = cd.session
     u = cd.universe
-    kept = session._unfinished
-    assert [{lv: len(ts) for lv, ts in levels.items()} for levels, _ in kept] == [
-        {(1, (1,)): 22, (1, (2,)): 6}, {(2, (1, 2)): 63}
-    ]
-    assert all(
-        cap is None and ts == u.levels[lv] for levels, cap in kept for lv, ts in levels.items()
-    )
+    assert {lv: len(ts) for lv, ts in session._open.items()} == {
+        (1, (1,)): 22, (1, (2,)): 6, (2, (1, 2)): 63
+    }
+    assert all(ts is u.levels[lv] for lv, ts in session._open.items())
+    # stage 0 finished its level, which no later stage changed
+    assert set(session._closed) == {(0, ())}
     session.saturate()
     assert not session.completed
-    session.saturate_over_classes({})
+    session.saturate_over_classes()
     assert session.completed
-    assert session._unfinished == []
-    fresh = CongruenceSession(u).seed(instantiate_relations(u)).saturate()
-    assert partition(session, u) == partition(fresh, u)
+    assert session._open == {}
+    assert set(session._closed) == set(u.levels)
+    ref = ReferenceClosure(u.builder, instantiate_relations(u))
+    assert partition(session, u) == partition(ref, u)

@@ -1,14 +1,30 @@
-"""Every demo script runs to completion against the package."""
+"""Every demo script and the README's Python blocks run against the package."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_python_blocks_print_what_their_comments_promise(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 2
+    # in order and in one namespace: the second block reuses the quiver
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "equal"
+    assert out[1].startswith("[{'left': ")
+    assert out[2:] == ["36", "contraction: 252 checks, ok"]
