@@ -69,6 +69,11 @@ from .term import (
 _SIDES = {**SCHEMES, "contraction-projection": lambda A, d, k, x: (k, A.refl(d, x))}
 
 
+# the proof-forest reason of every congruence merge, one shared tuple;
+# _merge tells it from the others by identity
+_CONGRUENCE = ("congruence",)
+
+
 # ground_level tests family membership for every element, so it gets a set
 _ALL_FAMILIES = frozenset(FAMILIES)
 
@@ -144,6 +149,9 @@ class CongruenceSession:
     the arena has grown.  Each merge re-signs the parents of the absorbed
     class, queueing signature collisions (operation compatibility), and
     adds an edge to the proof forest that merge traces are read from.
+    A seed or face merge is also kept for the next face pass; a
+    congruence merge is not, since signatures alone join its faces
+    (_face_pass).
     Union is by use-list size, so each merge re-signs the shorter
     use-list; a proof-forest edge joins the merged pair itself.  A
     session may be seeded and saturated repeatedly; later seeds extend
@@ -245,7 +253,7 @@ class CongruenceSession:
                 if existing is None:
                     self._sig[sig] = nid
                 else:
-                    self._pending.append((existing, nid, ("congruence",)))
+                    self._pending.append((existing, nid, _CONGRUENCE))
 
     # merging ---------------------------------------------------------
 
@@ -267,9 +275,12 @@ class CongruenceSession:
         # the shorter list is re-signed below
         if len(uses[ra]) < len(uses[rb]):
             ra, rb = rb, ra
-        self._parent[rb] = ra
+        parent = self._parent
+        parent[rb] = ra
         self.processed += 1
-        self._merged += (a, b)
+        # signatures alone join the faces of a congruence merge (_face_pass)
+        if reason is not _CONGRUENCE:
+            self._merged += (a, b)
 
         # only parents of the absorbed class change signature; a non-empty
         # moved list means the absorbing use-list is a list too
@@ -278,36 +289,73 @@ class CongruenceSession:
             return
         uses[rb] = ()
         terms = self.builder.terms
+        op_key = self.builder.op_key
+        find = self.find
+        sigs = self._sig
+        pending = self._pending
+        # each parent is re-signed as _signature would, inline; a parent is
+        # never a generator, and a contraction cell has no signature
         for p in moved:
-            sig = self._signature(terms[p])
-            if sig is None:
+            node = terms[p]
+            kind = node.kind
+            if kind == KAPPA:
                 continue
-            existing = self._sig.get(sig)
-            if existing is None:
-                self._sig[sig] = p
+            args = node.args
+            x = args[0].nid
+            if parent[x] != x:
+                x = find(x)
+            if len(args) == 1:
+                sig = op_key(REFL_TAG if kind == REFL else DUAL_TAG, node.d, x)
             else:
-                self._pending.append((existing, p, ("congruence",)))
+                y = args[1].nid
+                if parent[y] != y:
+                    y = find(y)
+                sig = op_key(COMP_TAG, node.d, x, y)
+            existing = sigs.get(sig)
+            if existing is None:
+                sigs[sig] = p
+            else:
+                pending.append((existing, p, _CONGRUENCE))
         uses[ra].extend(moved)
 
     def _face_pass(self) -> None:
-        """Queue the differing faces of every pair merged since the last pass.
+        """Queue the differing faces of every seed or face merge since the
+        last pass.
 
-        Each merged pair is compared once per direction, so the classes it
-        joined are closed under faces once the queue drains again (egg's
-        deferred rebuild, applied to faces).
+        Each such pair is compared once per direction, so the classes are
+        closed under faces once the queue drains again (egg's deferred
+        rebuild, applied to faces).
+
+        A congruence merge needs no pass.  It joins op(x...) and op(y...)
+        whose arguments were joined before it, and by FACE_LAWS each face
+        of either node is the same face of one argument, or the same
+        operation over the arguments' faces.  In an arena holding every
+        face, induction on merge order then joins the faces of each merged
+        pair: those of the arguments by the induction, and the operation
+        over them through the signature table.  Building the faces the
+        arena lacks adds nodes and no equation, and congruence closure
+        over an arena closed under arguments derives exactly the
+        equations its seed and face merges entail, so the classes of the
+        nodes already held are those of the arena holding every face.
+        audit_congruence checks this on the faces it compares.
         """
         merged, self._merged = self._merged, []
-        terms = self.builder.terms
-        boundary = self.builder.boundary
+        builder = self.builder
+        terms, boundary = builder.terms, builder.boundary
+        # a filled slot of the builder's face cache is read directly, and
+        # boundary builds the face on a miss; both lists grow in place
+        faces, stride = builder._faces, builder._stride
+        pending = self._pending
         for i in range(0, len(merged), 2):
             a, b = merged[i], merged[i + 1]
             term_a, term_b = terms[a], terms[b]
             for d in term_a.dirs:
-                for side in ("s", "t"):
-                    fa = boundary(term_a, d, side)
-                    fb = boundary(term_b, d, side)
+                slot_a, slot_b = a * stride + 2 * d - 2, b * stride + 2 * d - 2
+                for side in (0, 1):
+                    fa = faces[slot_a + side] or boundary(term_a, d, "st"[side])
+                    fb = faces[slot_b + side] or boundary(term_b, d, "st"[side])
                     if fa is not fb:
-                        self._pending.append((fa.nid, fb.nid, ("faces", a, b, d, side)))
+                        pending.append((fa.nid, fb.nid, ("faces", a, b, d, "st"[side])))
 
     # public API ------------------------------------------------------
 
@@ -322,8 +370,12 @@ class CongruenceSession:
         """Process pending merges until fixpoint or until the budget runs out.
 
         The budget counts merges.  When the queue drains, one face pass
-        over the pairs merged since the last pass may queue more; the
-        fixpoint is reached when the queue is empty after a pass.  While
+        over the seed and face merges since the last pass may queue more;
+        the fixpoint is reached when the queue is empty after a pass.
+        There the classes are closed under faces wherever the arena holds
+        both faces; a face built later joins its counterpart by
+        congruence once it is ingested, and joins no two classes held
+        before (_face_pass).  While
         a saturate_over_classes call cut short has left levels to close, a
         drained queue is not the closure and completed stays False.
         """
@@ -332,7 +384,7 @@ class CongruenceSession:
         stop = self.processed + budget
         arena = self.builder.terms
         pending = self._pending
-        find = self.find
+        parent, find = self._parent, self.find
         while True:
             if self._ingested < len(arena):
                 self._ingest_new_nodes()
@@ -348,7 +400,8 @@ class CongruenceSession:
                 self.completed = False
                 return self
             a, b, reason = pending.popleft()
-            ra, rb = find(a), find(b)
+            ra = a if parent[a] == a else find(a)
+            rb = b if parent[b] == b else find(b)
             if ra != rb:
                 self._merge(a, b, ra, rb, reason)
 
@@ -637,19 +690,32 @@ def audit_congruence(session: CongruenceSession) -> ValidationReport:
     """Re-scan a saturated session for closure violations.
 
     Confirms that signature-equal nodes share a class and that classes
-    are closed under faces.  A clean report certifies the fixpoint
-    really is a congruence on the enumerated fragment.
+    are closed under faces: each member of a class with more than one
+    member has the faces of its first member.  A clean report certifies
+    the fixpoint really is a congruence on the enumerated fragment.
+
+    The closure builds no face for a congruence merge, so a face the
+    audit needs may not be held yet.  Then it builds every face it
+    compares, saturates once, as decide_equal does for late nodes, and
+    reports under face-closure any two classes of the nodes held before
+    that the saturation joined; the faces are compared after it.
     """
     report = ValidationReport(subject="congruence-closure")
     b = session.builder
     find = session.find
+    held = b.terms[: session._ingested]
     groups: dict[tuple, int] = {}
-    for node in b.terms[: session._ingested]:
-        if node.kind in (GEN, KAPPA):
+    for node in held:
+        kind = node.kind
+        if kind == GEN or kind == KAPPA:
             continue
-        # rebuilt here, not read from the session, so the audit shares no
-        # code with the closure it re-checks
-        sig = (node.kind, node.d) + tuple(find(a.nid) for a in node.args)
+        # rebuilt here as a tuple, not read from the session, so the audit
+        # shares no code with the closure it re-checks
+        args = node.args
+        if len(args) == 1:
+            sig = (kind, node.d, find(args[0].nid))
+        else:
+            sig = (kind, node.d, find(args[0].nid), find(args[1].nid))
         report.checked += 1
         first = groups.get(sig)
         if first is None:
@@ -662,19 +728,75 @@ def audit_congruence(session: CongruenceSession) -> ValidationReport:
                 "but different classes",
             )
     # the classes that verdicts read, grouped from the union-find itself
-    for members in session.classes(b.terms[: session._ingested]):
-        base = members[0]
-        for other in members[1:]:
-            for d in base.dirs:
-                for side in ("s", "t"):
-                    report.checked += 1
-                    fa = b.boundary(base, d, side)
-                    fb = b.boundary(other, d, side)
-                    if find(fa.nid) != find(fb.nid):
-                        report.add(
-                            "face-closure",
-                            base.level,
-                            f"classes of {base.text} and {other.text} agree but their "
-                            f"{side}-faces in direction {d} do not",
-                        )
+    classes = [members for members in session.classes(held) if len(members) > 1]
+    faces = _face_rows_agree(session, classes)
+    if faces is None:
+        _take_in_faces(session, classes, report)
+        faces = _face_rows_agree(session, classes)
+    checked, violations = faces
+    report.checked += checked
+    for members, other, d, side in violations:
+        report.add(
+            "face-closure",
+            members[0].level,
+            f"classes of {members[0].text} and {other.text} agree but their "
+            f"{side}-faces in direction {d} do not",
+        )
     return report
+
+
+def _face_rows_agree(session: CongruenceSession, classes):
+    """Compare each member's faces with its class's first member's:
+    (checks, violations as (members, other, d, side)), or None at the
+    first face the session does not hold."""
+    boundary, find = session.builder.boundary, session.find
+    held = session._ingested
+    checked = 0
+    violations = []
+    for members in classes:
+        base = members[0]
+        sides = [(d, side) for d in base.dirs for side in ("s", "t")]
+        row = []
+        for d, side in sides:
+            nid = boundary(base, d, side).nid
+            if nid >= held:
+                return None
+            row.append(find(nid))
+        checked += (len(members) - 1) * len(sides)
+        for other in members[1:]:
+            for (d, side), root in zip(sides, row):
+                nid = boundary(other, d, side).nid
+                if nid >= held:
+                    return None
+                if find(nid) != root:
+                    violations.append((members, other, d, side))
+    return checked, violations
+
+
+def _take_in_faces(session: CongruenceSession, classes, report: ValidationReport) -> None:
+    """Build every face of the classes' members and saturate once; report
+    each class of the nodes held before that the saturation joined to
+    another."""
+    boundary, find = session.builder.boundary, session.find
+    for members in classes:
+        for m in members:
+            for d in m.dirs:
+                boundary(m, d, "s")
+                boundary(m, d, "t")
+    terms = session.builder.terms
+    held = session._ingested
+    before = [find(n) for n in range(held)]
+    session.saturate()
+    # each class now, named by the old class of its first node; every
+    # other old class in it is reported once, at its old root
+    met: dict[int, int] = {}
+    for n in range(held):
+        old = before[n]
+        first = met.setdefault(find(n), old)
+        if first != old and n == old:
+            report.add(
+                "face-closure",
+                terms[old].level,
+                f"classes of {terms[first].text} and {terms[old].text} were joined "
+                "once the faces of their members were taken in",
+            )

@@ -169,6 +169,7 @@ class TermBuilder:
         # 4 * d + tag stays below the stride for every direction 1..dir_universe
         self._key_stride = 4 * (self.config.dir_universe + 1)
         self._faces: list[Term | None] = []
+        self._no_faces = (None,) * self._stride
         self._kappa_ok: set[tuple[Term, Term]] = set()
 
     def __len__(self) -> int:
@@ -214,7 +215,7 @@ class TermBuilder:
         node = Term(len(self.terms), kind, d, cell, args, dim, dirs, size, weight)
         self.terms.append(node)
         self._intern[key] = node
-        self._faces.extend([None] * self._stride)
+        self._faces.extend(self._no_faces)
         return node
 
     # -- constructors --------------------------------------------------

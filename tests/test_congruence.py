@@ -579,6 +579,38 @@ def test_audit_reports_each_planted_fault_under_its_tag(quiver):
     assert {v.tag for v in report.violations} == {"face-closure"}
 
 
+def held_partition(closure, terms):
+    """The classes of terms under a session or a ReferenceClosure, as node ids."""
+    return {frozenset(t.nid for t in group) for group in closure.classes(terms)}
+
+
+def test_a_congruence_merge_whose_faces_were_never_built_is_audited_and_decided():
+    quiver = two_generator_quiver(TruncationConfig(max_dim=2, dir_universe=2, term_depth=0))
+    u = enumerate_free_magma(quiver, 0)
+    session = CongruenceSession(u).saturate_over_classes()
+    b = u.builder
+    c, g = by_text(u, "gen(c)"), by_text(u, "gen(g)")
+    x = b.refl(2, b.comp(1, b.refl(1, c), g))
+    y = b.refl(2, g)
+    # the duals are joined by congruence alone, so no face pass builds
+    # their 2-faces
+    dx, dy = b.dual(1, x), b.dual(1, y)
+    seeds = [RelationInstance("unit-left", x, y)]
+    session.seed(seeds).saturate()
+    assert session.completed and session.same(dx, dy)
+    held = b.terms[: session._ingested]
+    classes = held_partition(session, held)
+
+    report = audit_congruence(session)
+    assert report.ok and report.checked > 0
+    sx, sy = b.boundary(dx, 2, "s"), b.boundary(dy, 2, "s")
+    assert decide_equal(session, sx, sy).verdict == "equal"
+    # taking the faces in joined no two classes held before
+    assert held_partition(session, held) == classes
+    reference = ReferenceClosure(b, instantiate_relations(u) + seeds)
+    assert held_partition(reference, held) == classes
+
+
 def test_budget_exhaustion_reports_honestly(quiver):
     u = enumerate_free_magma(quiver, 2)
     session = CongruenceSession(u).seed(instantiate_relations(u)).saturate(budget=5)
@@ -721,11 +753,12 @@ def test_class_closure_partitions_the_depth_three_universe_as_the_syntactic_one(
     assert len(session._seen) == 1787
     # every syntactic instance, built into the arena, is closed by
     # congruence alone: the seed merges stay those of the class closure
-    seed_merges = session.merge_reasons()["seed"]
-    assert seed_merges == 1936
+    assert session.merge_reasons()["seed"] == 1936
     rels = instantiate_relations(u)
     session.saturate()
-    assert session.merge_reasons()["seed"] == seed_merges
+    # relation-provability's session: no face merge, and a face pass
+    # that built fewer nodes would show in the node count
+    assert session.merge_reasons() == {"seed": 1936, "congruence": 91634, "faces": 0}
     assert all(session.same(r.left, r.right) for r in rels)
     assert session.stats() == {
         "nodes": 93825, "seeded": 2125, "merges": 93570, "processed": 93570, "completed": True
@@ -882,3 +915,31 @@ def test_class_closure_matches_the_syntactic_one_on_random_quivers(p, cap):
     assert by_class.completed
     assert partition_digest(by_class, v) == partition_digest(reference(u, cap), u)
     assert second_pass_seeds(by_class, v.levels, cap) == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=small_quivers(), cap=st.sampled_from([None, 7]))
+def test_the_face_pass_is_exact_on_random_quivers(p, cap):
+    # every face of every held node, built after the closure, is joined by
+    # congruence alone: no two classes held before are joined
+    u = enumerate_free_magma(p, 2, size_cap=3)
+    session = CongruenceSession(u).saturate_over_classes(max_side_size=cap)
+    b = u.builder
+    # as in the test above, dual[1](id[2](comp[1](id[1](t), x))) is joined
+    # to dual[1](id[2](x)) by congruence alone, with its 2-faces unbuilt
+    for x in u.level(1, (1,)):
+        b.dual(1, b.refl(2, b.comp(1, b.refl(1, b.boundary(x, 1, "t")), x)))
+    session.saturate()
+    held = b.terms[: session._ingested]
+    # classes only ever join, so an unchanged count means none joined
+    digest, count = partition_digest(session, u), len(session.classes(held))
+    for t in held:
+        for d in t.dirs:
+            b.boundary(t, d, "s")
+            b.boundary(t, d, "t")
+    assert len(b) > len(held)
+    session.saturate()
+    assert session.completed
+    assert partition_digest(session, u) == digest
+    assert len(session.classes(held)) == count
+    assert audit_congruence(session).ok
