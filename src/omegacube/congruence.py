@@ -220,40 +220,51 @@ class CongruenceSession:
 
     # node intake -----------------------------------------------------
 
-    def _signature(self, node: Term) -> int | None:
-        kind = node.kind
-        if kind == GEN or kind == KAPPA:
-            return None
-        args = node.args
-        if len(args) == 1:
-            tag = REFL_TAG if kind == REFL else DUAL_TAG
-            return self.builder.op_key(tag, node.d, self.find(args[0].nid))
-        return self.builder.op_key(COMP_TAG, node.d, self.find(args[0].nid), self.find(args[1].nid))
-
     def _ingest_new_nodes(self) -> None:
-        arena = self.builder.terms
-        uses = self._class_parents
-        while self._ingested < len(arena):
-            node = arena[self._ingested]
+        new = self.builder.terms[self._ingested :]
+        parent, uses = self._parent, self._class_parents
+        parent += [node.nid for node in new]
+        uses += [()] * len(new)
+        self._pf_parent += [-1] * len(new)
+        self._pf_reason += [None] * len(new)
+        self._ingested += len(new)
+        find = self.find
+        op_key = self.builder.op_key
+        sigs, pending = self._sig, self._pending
+        # each node joins its arguments' use-lists; its signature is the
+        # op_key of its operation over its arguments' roots, and a
+        # contraction cell has none
+        for node in new:
+            args = node.args
+            if not args:
+                continue
             nid = node.nid
-            self._parent.append(nid)
-            uses.append(())
-            self._pf_parent.append(-1)
-            self._pf_reason.append(None)
-            self._ingested += 1
-            for a in node.args:
-                root = self.find(a.nid)
-                if uses[root]:
-                    uses[root].append(nid)
+            x = args[0].nid
+            if parent[x] != x:
+                x = find(x)
+            if uses[x]:
+                uses[x].append(nid)
+            else:
+                uses[x] = [nid]
+            kind = node.kind
+            if len(args) == 1:
+                sig = op_key(REFL_TAG if kind == REFL else DUAL_TAG, node.d, x)
+            else:
+                y = args[1].nid
+                if parent[y] != y:
+                    y = find(y)
+                if uses[y]:
+                    uses[y].append(nid)
                 else:
-                    uses[root] = [nid]
-            sig = self._signature(node)
-            if sig is not None:
-                existing = self._sig.get(sig)
-                if existing is None:
-                    self._sig[sig] = nid
-                else:
-                    self._pending.append((existing, nid, _CONGRUENCE))
+                    uses[y] = [nid]
+                if kind == KAPPA:
+                    continue
+                sig = op_key(COMP_TAG, node.d, x, y)
+            existing = sigs.get(sig)
+            if existing is None:
+                sigs[sig] = nid
+            else:
+                pending.append((existing, nid, _CONGRUENCE))
 
     # merging ---------------------------------------------------------
 
@@ -293,8 +304,8 @@ class CongruenceSession:
         find = self.find
         sigs = self._sig
         pending = self._pending
-        # each parent is re-signed as _signature would, inline; a parent is
-        # never a generator, and a contraction cell has no signature
+        # each parent is re-signed as _ingest_new_nodes signs it, inline; a
+        # parent is never a generator, and a contraction cell has no signature
         for p in moved:
             node = terms[p]
             kind = node.kind
@@ -375,9 +386,9 @@ class CongruenceSession:
         There the classes are closed under faces wherever the arena holds
         both faces; a face built later joins its counterpart by
         congruence once it is ingested, and joins no two classes held
-        before (_face_pass).  While
-        a saturate_over_classes call cut short has left levels to close, a
-        drained queue is not the closure and completed stays False.
+        before (_face_pass).  While a saturate_over_classes call cut
+        short has left levels to close, a drained queue is not the
+        closure and completed stays False.
         """
         if budget is None:
             budget = self.builder.config.saturation_budget
@@ -526,14 +537,22 @@ class CongruenceSession:
         nodes it has passed; the first node one climb finds on the
         other's is their nearest common ancestor, so the walk stops at
         the meet instead of the root.  A path in a tree is unique, so
-        the chain is the one a walk to the root would give.
+        the chain is the one a walk to the root would give; when one edge
+        joins the two terms, that edge is the chain, read without a climb.
         """
         if a is b:
             return []
 
         parent, why = self._pf_parent, self._pf_reason
-        pa, pb = [a.nid], [b.nid]
-        on_a, on_b = {a.nid: 0}, {b.nid: 0}
+        # one edge joins the two ends of most queried pairs, a seed's sides
+        # among them
+        na, nb = a.nid, b.nid
+        if parent[na] == nb:
+            return [(na, nb, why[na])]
+        if parent[nb] == na:
+            return [(na, nb, why[nb])]
+        pa, pb = [na], [nb]
+        on_a, on_b = {na: 0}, {nb: 0}
         while True:
             # the tails are checked before either climbs again, so the
             # first node seen by both climbs is the lowest one they share
@@ -691,8 +710,10 @@ def audit_congruence(session: CongruenceSession) -> ValidationReport:
 
     Confirms that signature-equal nodes share a class and that classes
     are closed under faces: each member of a class with more than one
-    member has the faces of its first member.  A clean report certifies
-    the fixpoint really is a congruence on the enumerated fragment.
+    member has the faces of its first member.  Each held node's class
+    is read from the union-find once, and signatures are rebuilt as
+    tuples over those classes.  A clean report certifies the fixpoint
+    really is a congruence on the enumerated fragment.
 
     The closure builds no face for a congruence merge, so a face the
     audit needs may not be held yet.  Then it builds every face it
@@ -702,9 +723,11 @@ def audit_congruence(session: CongruenceSession) -> ValidationReport:
     """
     report = ValidationReport(subject="congruence-closure")
     b = session.builder
-    find = session.find
     held = b.terms[: session._ingested]
+    # each held node's class, read once from the union-find
+    root = list(map(session.find, range(len(held))))
     groups: dict[tuple, int] = {}
+    checked = 0
     for node in held:
         kind = node.kind
         if kind == GEN or kind == KAPPA:
@@ -713,26 +736,29 @@ def audit_congruence(session: CongruenceSession) -> ValidationReport:
         # shares no code with the closure it re-checks
         args = node.args
         if len(args) == 1:
-            sig = (kind, node.d, find(args[0].nid))
+            sig = (kind, node.d, root[args[0].nid])
         else:
-            sig = (kind, node.d, find(args[0].nid), find(args[1].nid))
-        report.checked += 1
-        first = groups.get(sig)
-        if first is None:
-            groups[sig] = node.nid
-        elif find(first) != find(node.nid):
+            sig = (kind, node.d, root[args[0].nid], root[args[1].nid])
+        checked += 1
+        first = groups.setdefault(sig, node.nid)
+        if root[first] != root[node.nid]:
             report.add(
                 "op-compat",
                 node.level,
                 f"{b.terms[first].text} and {node.text} have equal signatures "
                 "but different classes",
             )
+    report.checked += checked
     # the classes that verdicts read, grouped from the union-find itself
-    classes = [members for members in session.classes(held) if len(members) > 1]
-    faces = _face_rows_agree(session, classes)
+    by_root: dict[int, list[Term]] = {}
+    for node in held:
+        by_root.setdefault(root[node.nid], []).append(node)
+    classes = [members for members in by_root.values() if len(members) > 1]
+    faces = _face_rows_agree(b, classes, root)
     if faces is None:
-        _take_in_faces(session, classes, report)
-        faces = _face_rows_agree(session, classes)
+        _take_in_faces(session, classes, root, report)
+        root = list(map(session.find, range(session._ingested)))
+        faces = _face_rows_agree(b, classes, root)
     checked, violations = faces
     report.checked += checked
     for members, other, d, side in violations:
@@ -745,12 +771,12 @@ def audit_congruence(session: CongruenceSession) -> ValidationReport:
     return report
 
 
-def _face_rows_agree(session: CongruenceSession, classes):
-    """Compare each member's faces with its class's first member's:
-    (checks, violations as (members, other, d, side)), or None at the
-    first face the session does not hold."""
-    boundary, find = session.builder.boundary, session.find
-    held = session._ingested
+def _face_rows_agree(builder: TermBuilder, classes, root: list[int]):
+    """Compare each member's faces with its class's first member's, by
+    the class of each held node in root: (checks, violations as
+    (members, other, d, side)), or None at the first face not held."""
+    boundary = builder.boundary
+    held = len(root)
     checked = 0
     violations = []
     for members in classes:
@@ -761,22 +787,24 @@ def _face_rows_agree(session: CongruenceSession, classes):
             nid = boundary(base, d, side).nid
             if nid >= held:
                 return None
-            row.append(find(nid))
+            row.append(root[nid])
         checked += (len(members) - 1) * len(sides)
         for other in members[1:]:
-            for (d, side), root in zip(sides, row):
+            for (d, side), cls in zip(sides, row):
                 nid = boundary(other, d, side).nid
                 if nid >= held:
                     return None
-                if find(nid) != root:
+                if root[nid] != cls:
                     violations.append((members, other, d, side))
     return checked, violations
 
 
-def _take_in_faces(session: CongruenceSession, classes, report: ValidationReport) -> None:
+def _take_in_faces(
+    session: CongruenceSession, classes, root: list[int], report: ValidationReport
+) -> None:
     """Build every face of the classes' members and saturate once; report
-    each class of the nodes held before that the saturation joined to
-    another."""
+    each class of the nodes held before, by root, that the saturation
+    joined to another."""
     boundary, find = session.builder.boundary, session.find
     for members in classes:
         for m in members:
@@ -784,14 +812,11 @@ def _take_in_faces(session: CongruenceSession, classes, report: ValidationReport
                 boundary(m, d, "s")
                 boundary(m, d, "t")
     terms = session.builder.terms
-    held = session._ingested
-    before = [find(n) for n in range(held)]
     session.saturate()
     # each class now, named by the old class of its first node; every
     # other old class in it is reported once, at its old root
     met: dict[int, int] = {}
-    for n in range(held):
-        old = before[n]
+    for n, old in enumerate(root):
         first = met.setdefault(find(n), old)
         if first != old and n == old:
             report.add(

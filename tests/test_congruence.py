@@ -603,6 +603,8 @@ def test_a_congruence_merge_whose_faces_were_never_built_is_audited_and_decided(
 
     report = audit_congruence(session)
     assert report.ok and report.checked > 0
+    # the audit built a face the closure never built
+    assert len(b) > len(held)
     sx, sy = b.boundary(dx, 2, "s"), b.boundary(dy, 2, "s")
     assert decide_equal(session, sx, sy).verdict == "equal"
     # taking the faces in joined no two classes held before
