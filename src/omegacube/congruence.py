@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice, repeat
 
 from .presentation import ValidationReport, format_level
 from .relations import (
@@ -221,24 +222,25 @@ class CongruenceSession:
     # node intake -----------------------------------------------------
 
     def _ingest_new_nodes(self) -> None:
-        new = self.builder.terms[self._ingested :]
+        terms = self.builder.terms
+        start, count = self._ingested, len(terms) - self._ingested
         parent, uses = self._parent, self._class_parents
-        parent += [node.nid for node in new]
-        uses += [()] * len(new)
-        self._pf_parent += [-1] * len(new)
-        self._pf_reason += [None] * len(new)
-        self._ingested += len(new)
+        uses.extend(repeat((), count))
+        self._pf_parent.extend(repeat(-1, count))
+        self._pf_reason.extend(repeat(None, count))
+        self._ingested += count
         find = self.find
         op_key = self.builder.op_key
         sigs, pending = self._sig, self._pending
         # each node joins its arguments' use-lists; its signature is the
         # op_key of its operation over its arguments' roots, and a
         # contraction cell has none
-        for node in new:
+        for node in islice(terms, start, start + count):
+            nid = node.nid
+            parent.append(nid)
             args = node.args
             if not args:
                 continue
-            nid = node.nid
             x = args[0].nid
             if parent[x] != x:
                 x = find(x)
