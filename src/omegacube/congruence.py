@@ -221,6 +221,18 @@ class CongruenceSession:
 
     # node intake -----------------------------------------------------
 
+    def _signature(self, node: Term) -> int | None:
+        """The op_key of node's operation over its arguments' roots; a
+        generator or a contraction cell has none."""
+        kind = node.kind
+        if kind == GEN or kind == KAPPA:
+            return None
+        args = node.args
+        if len(args) == 1:
+            tag = REFL_TAG if kind == REFL else DUAL_TAG
+            return self.builder.op_key(tag, node.d, self.find(args[0].nid))
+        return self.builder.op_key(COMP_TAG, node.d, self.find(args[0].nid), self.find(args[1].nid))
+
     def _ingest_new_nodes(self) -> None:
         terms = self.builder.terms
         start, count = self._ingested, len(terms) - self._ingested
@@ -229,44 +241,24 @@ class CongruenceSession:
         self._pf_parent.extend(repeat(-1, count))
         self._pf_reason.extend(repeat(None, count))
         self._ingested += count
-        find = self.find
-        op_key = self.builder.op_key
+        find, signature = self.find, self._signature
         sigs, pending = self._sig, self._pending
-        # each node joins its arguments' use-lists; its signature is the
-        # op_key of its operation over its arguments' roots, and a
-        # contraction cell has none
         for node in islice(terms, start, start + count):
             nid = node.nid
             parent.append(nid)
-            args = node.args
-            if not args:
-                continue
-            x = args[0].nid
-            if parent[x] != x:
-                x = find(x)
-            if uses[x]:
-                uses[x].append(nid)
-            else:
-                uses[x] = [nid]
-            kind = node.kind
-            if len(args) == 1:
-                sig = op_key(REFL_TAG if kind == REFL else DUAL_TAG, node.d, x)
-            else:
-                y = args[1].nid
-                if parent[y] != y:
-                    y = find(y)
-                if uses[y]:
-                    uses[y].append(nid)
+            for a in node.args:
+                root = find(a.nid)
+                if uses[root]:
+                    uses[root].append(nid)
                 else:
-                    uses[y] = [nid]
-                if kind == KAPPA:
-                    continue
-                sig = op_key(COMP_TAG, node.d, x, y)
-            existing = sigs.get(sig)
-            if existing is None:
-                sigs[sig] = nid
-            else:
-                pending.append((existing, nid, _CONGRUENCE))
+                    uses[root] = [nid]
+            sig = signature(node)
+            if sig is not None:
+                existing = sigs.get(sig)
+                if existing is None:
+                    sigs[sig] = nid
+                else:
+                    pending.append((existing, nid, _CONGRUENCE))
 
     # merging ---------------------------------------------------------
 
@@ -353,22 +345,17 @@ class CongruenceSession:
         audit_congruence checks this on the faces it compares.
         """
         merged, self._merged = self._merged, []
-        builder = self.builder
-        terms, boundary = builder.terms, builder.boundary
-        # a filled slot of the builder's face cache is read directly, and
-        # boundary builds the face on a miss; both lists grow in place
-        faces, stride = builder._faces, builder._stride
-        pending = self._pending
+        terms = self.builder.terms
+        boundary = self.builder.boundary
         for i in range(0, len(merged), 2):
             a, b = merged[i], merged[i + 1]
             term_a, term_b = terms[a], terms[b]
             for d in term_a.dirs:
-                slot_a, slot_b = a * stride + 2 * d - 2, b * stride + 2 * d - 2
-                for side in (0, 1):
-                    fa = faces[slot_a + side] or boundary(term_a, d, "st"[side])
-                    fb = faces[slot_b + side] or boundary(term_b, d, "st"[side])
+                for side in ("s", "t"):
+                    fa = boundary(term_a, d, side)
+                    fb = boundary(term_b, d, side)
                     if fa is not fb:
-                        pending.append((fa.nid, fb.nid, ("faces", a, b, d, "st"[side])))
+                        self._pending.append((fa.nid, fb.nid, ("faces", a, b, d, side)))
 
     # public API ------------------------------------------------------
 
@@ -539,22 +526,14 @@ class CongruenceSession:
         nodes it has passed; the first node one climb finds on the
         other's is their nearest common ancestor, so the walk stops at
         the meet instead of the root.  A path in a tree is unique, so
-        the chain is the one a walk to the root would give; when one edge
-        joins the two terms, that edge is the chain, read without a climb.
+        the chain is the one a walk to the root would give.
         """
         if a is b:
             return []
 
         parent, why = self._pf_parent, self._pf_reason
-        # one edge joins the two ends of most queried pairs, a seed's sides
-        # among them
-        na, nb = a.nid, b.nid
-        if parent[na] == nb:
-            return [(na, nb, why[na])]
-        if parent[nb] == na:
-            return [(na, nb, why[nb])]
-        pa, pb = [na], [nb]
-        on_a, on_b = {na: 0}, {nb: 0}
+        pa, pb = [a.nid], [b.nid]
+        on_a, on_b = {a.nid: 0}, {b.nid: 0}
         while True:
             # the tails are checked before either climbs again, so the
             # first node seen by both climbs is the lowest one they share
@@ -718,16 +697,69 @@ def audit_congruence(session: CongruenceSession) -> ValidationReport:
     really is a congruence on the enumerated fragment.
 
     The closure builds no face for a congruence merge, so a face the
-    audit needs may not be held yet.  Then it builds every face it
-    compares, saturates once, as decide_equal does for late nodes, and
-    reports under face-closure any two classes of the nodes held before
-    that the saturation joined; the faces are compared after it.
+    audit reads may not be held yet; boundary builds it, and the
+    comparisons with such faces wait.  If any wait, a session at its
+    fixpoint (completed, with an empty queue) is saturated once, as
+    decide_equal does for late nodes; any two classes of the nodes held
+    before that the saturation joined are reported under face-closure,
+    the waiting comparisons are made, and a note in the report says that
+    the audit saturated and whether that run finished.  A session not
+    at its fixpoint is not saturated: the audit reports not-at-fixpoint
+    and leaves the waiting comparisons out, as it does when its own
+    saturation is cut.
     """
     report = ValidationReport(subject="congruence-closure")
     b = session.builder
     held = b.terms[: session._ingested]
     # each held node's class, read once from the union-find
     root = list(map(session.find, range(len(held))))
+    _signatures_agree(report, held, root)
+    # the classes that verdicts read, grouped from the union-find itself
+    by_root: dict[int, list[Term]] = {}
+    for node in held:
+        by_root.setdefault(root[node.nid], []).append(node)
+    classes = [members for members in by_root.values() if len(members) > 1]
+    # each member's faces against its class's first member's; boundary
+    # builds a face the closure never built, and a comparison with such a
+    # face waits for the saturation that takes it in
+    boundary = b.boundary
+    n = len(held)
+    late = []
+    for members in classes:
+        base = members[0]
+        sides = [(d, side) for d in base.dirs for side in ("s", "t")]
+        row = [boundary(base, d, side).nid for d, side in sides]
+        report.checked += (len(members) - 1) * len(sides)
+        for other in members[1:]:
+            for (d, side), fa in zip(sides, row):
+                fb = boundary(other, d, side).nid
+                if fa >= n or fb >= n:
+                    late.append((base, other, d, side, fa, fb))
+                elif root[fa] != root[fb]:
+                    _face_violation(report, base, other, d, side)
+    if late:
+        if not _saturate_over_faces(session, root, report):
+            report.checked -= len(late)
+            return report
+        find = session.find
+        for base, other, d, side, fa, fb in late:
+            if find(fa) != find(fb):
+                _face_violation(report, base, other, d, side)
+    return report
+
+
+def _face_violation(report: ValidationReport, base: Term, other: Term, d: int, side: str) -> None:
+    report.add(
+        "face-closure",
+        base.level,
+        f"classes of {base.text} and {other.text} agree but their "
+        f"{side}-faces in direction {d} do not",
+    )
+
+
+def _signatures_agree(report: ValidationReport, held: list[Term], root: list[int]) -> None:
+    """Report each two held nodes with equal signatures over the classes
+    in root but different classes, under op-compat."""
     groups: dict[tuple, int] = {}
     checked = 0
     for node in held:
@@ -747,76 +779,36 @@ def audit_congruence(session: CongruenceSession) -> ValidationReport:
             report.add(
                 "op-compat",
                 node.level,
-                f"{b.terms[first].text} and {node.text} have equal signatures "
+                f"{held[first].text} and {node.text} have equal signatures "
                 "but different classes",
             )
     report.checked += checked
-    # the classes that verdicts read, grouped from the union-find itself
-    by_root: dict[int, list[Term]] = {}
-    for node in held:
-        by_root.setdefault(root[node.nid], []).append(node)
-    classes = [members for members in by_root.values() if len(members) > 1]
-    faces = _face_rows_agree(b, classes, root)
-    if faces is None:
-        _take_in_faces(session, classes, root, report)
-        root = list(map(session.find, range(session._ingested)))
-        faces = _face_rows_agree(b, classes, root)
-    checked, violations = faces
-    report.checked += checked
-    for members, other, d, side in violations:
-        report.add(
-            "face-closure",
-            members[0].level,
-            f"classes of {members[0].text} and {other.text} agree but their "
-            f"{side}-faces in direction {d} do not",
-        )
-    return report
 
 
-def _face_rows_agree(builder: TermBuilder, classes, root: list[int]):
-    """Compare each member's faces with its class's first member's, by
-    the class of each held node in root: (checks, violations as
-    (members, other, d, side)), or None at the first face not held."""
-    boundary = builder.boundary
-    held = len(root)
-    checked = 0
-    violations = []
-    for members in classes:
-        base = members[0]
-        sides = [(d, side) for d in base.dirs for side in ("s", "t")]
-        row = []
-        for d, side in sides:
-            nid = boundary(base, d, side).nid
-            if nid >= held:
-                return None
-            row.append(root[nid])
-        checked += (len(members) - 1) * len(sides)
-        for other in members[1:]:
-            for (d, side), cls in zip(sides, row):
-                nid = boundary(other, d, side).nid
-                if nid >= held:
-                    return None
-                if root[nid] != cls:
-                    violations.append((members, other, d, side))
-    return checked, violations
-
-
-def _take_in_faces(
-    session: CongruenceSession, classes, root: list[int], report: ValidationReport
-) -> None:
-    """Build every face of the classes' members and saturate once; report
-    each class of the nodes held before, by root, that the saturation
-    joined to another."""
-    boundary, find = session.builder.boundary, session.find
-    for members in classes:
-        for m in members:
-            for d in m.dirs:
-                boundary(m, d, "s")
-                boundary(m, d, "t")
+def _saturate_over_faces(
+    session: CongruenceSession, root: list[int], report: ValidationReport
+) -> bool:
+    """Take in the nodes built since the session's fixpoint, the faces the
+    audit built among them, with one saturate, and report each class of
+    the nodes held before, by root, that it joined to another.  False,
+    with not-at-fixpoint reported, when the session was not at its
+    fixpoint or the saturation was cut."""
     terms = session.builder.terms
+    built = len(terms) - len(root)
+    if not session.completed or session._pending:
+        report.add(
+            "not-at-fixpoint",
+            None,
+            f"the arena holds {built} node(s) the session has not taken in, and "
+            "the session is not at its fixpoint: no face it lacks is compared",
+        )
+        return False
     session.saturate()
+    finished = "finished" if session.completed else "was cut by its budget"
+    report.notes.append(f"saturated over {built} node(s) the session did not hold; {finished}")
     # each class now, named by the old class of its first node; every
     # other old class in it is reported once, at its old root
+    find = session.find
     met: dict[int, int] = {}
     for n, old in enumerate(root):
         first = met.setdefault(find(n), old)
@@ -827,3 +819,11 @@ def _take_in_faces(
                 f"classes of {terms[first].text} and {terms[old].text} were joined "
                 "once the faces of their members were taken in",
             )
+    if not session.completed:
+        report.add(
+            "not-at-fixpoint",
+            None,
+            "the audit's saturation over the faces it built was cut by its budget: "
+            "no face the session lacked is compared",
+        )
+    return session.completed

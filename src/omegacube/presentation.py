@@ -166,11 +166,13 @@ class Violation:
 
 @dataclass
 class ValidationReport:
-    """Outcome of an exhaustive scan: how much was checked, what failed."""
+    """Outcome of an exhaustive scan: how much was checked, what failed,
+    and notes on what the scan did beyond reading (none fail it)."""
 
     subject: str
     checked: int = 0
     violations: list[Violation] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -182,6 +184,7 @@ class ValidationReport:
     def merge(self, other: "ValidationReport") -> None:
         self.checked += other.checked
         self.violations.extend(other.violations)
+        self.notes.extend(other.notes)
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.violations)} violation(s)"

@@ -584,33 +584,75 @@ def held_partition(closure, terms):
     return {frozenset(t.nid for t in group) for group in closure.classes(terms)}
 
 
-def test_a_congruence_merge_whose_faces_were_never_built_is_audited_and_decided():
-    quiver = two_generator_quiver(TruncationConfig(max_dim=2, dir_universe=2, term_depth=0))
+def faces_never_built(**config):
+    """The depth-0 quiver universe closed over its classes, with
+    id[2](comp[1](id[1](c), g)) seeded equal to id[2](g) and their
+    dual[1] images joined by congruence alone, so that no face pass
+    builds the 2-faces of those duals."""
+    quiver = two_generator_quiver(
+        TruncationConfig(max_dim=2, dir_universe=2, term_depth=0, **config)
+    )
     u = enumerate_free_magma(quiver, 0)
-    session = CongruenceSession(u).saturate_over_classes()
+    session = CongruenceSession(u).saturate_over_classes(budget=10_000)
     b = u.builder
     c, g = by_text(u, "gen(c)"), by_text(u, "gen(g)")
     x = b.refl(2, b.comp(1, b.refl(1, c), g))
     y = b.refl(2, g)
-    # the duals are joined by congruence alone, so no face pass builds
-    # their 2-faces
     dx, dy = b.dual(1, x), b.dual(1, y)
     seeds = [RelationInstance("unit-left", x, y)]
-    session.seed(seeds).saturate()
+    session.seed(seeds).saturate(budget=10_000)
     assert session.completed and session.same(dx, dy)
+    return u, session, seeds, dx, dy
+
+
+def test_a_congruence_merge_whose_faces_were_never_built_is_audited_and_decided():
+    u, session, seeds, dx, dy = faces_never_built()
+    b = u.builder
     held = b.terms[: session._ingested]
     classes = held_partition(session, held)
 
     report = audit_congruence(session)
     assert report.ok and report.checked > 0
-    # the audit built a face the closure never built
+    # the audit built a face the closure never built, and took it in
     assert len(b) > len(held)
+    assert session.completed and session._ingested == len(b)
+    assert report.notes == [f"saturated over {len(b) - len(held)} node(s) the session "
+                            "did not hold; finished"]
     sx, sy = b.boundary(dx, 2, "s"), b.boundary(dy, 2, "s")
     assert decide_equal(session, sx, sy).verdict == "equal"
     # taking the faces in joined no two classes held before
     assert held_partition(session, held) == classes
     reference = ReferenceClosure(b, instantiate_relations(u) + seeds)
     assert held_partition(reference, held) == classes
+
+
+def test_the_audit_saturates_only_a_session_at_its_fixpoint():
+    # a pending seed: the audit reports it and leaves the session as it was
+    u, session, seeds, dx, dy = faces_never_built()
+    session.seed(seeds)
+    state = (session.stats(), len(session._pending), session._ingested)
+    report = audit_congruence(session)
+    assert [v.tag for v in report.violations] == ["not-at-fixpoint"]
+    assert not report.notes
+    assert (session.stats(), len(session._pending), session._ingested) == state
+    assert len(u.builder) > session._ingested
+
+    # the audit's own saturation cut by the budget: the note says so, and
+    # later verdicts see the session short of its fixpoint
+    u, session, seeds, dx, dy = faces_never_built(saturation_budget=1)
+    # a second such pair, over f, so that taking the faces in needs two merges
+    b = u.builder
+    f = by_text(u, "gen(f)")
+    x, y = b.refl(2, b.comp(1, b.refl(1, by_text(u, "gen(b)")), f)), b.refl(2, f)
+    b.dual(1, x)
+    df = b.dual(1, y)
+    session.seed([RelationInstance("unit-left", x, y)]).saturate(budget=10_000)
+    assert session.completed
+    report = audit_congruence(session)
+    assert [v.tag for v in report.violations] == ["not-at-fixpoint"]
+    assert report.notes[0].endswith("was cut by its budget")
+    assert not session.completed
+    assert decide_equal(session, dx, df).witness["cause"] == "budget"
 
 
 def test_budget_exhaustion_reports_honestly(quiver):
