@@ -298,8 +298,8 @@ class CongruenceSession:
         find = self.find
         sigs = self._sig
         pending = self._pending
-        # each parent is re-signed as _ingest_new_nodes signs it, inline; a
-        # parent is never a generator, and a contraction cell has no signature
+        # each parent is re-signed inline, by _signature's rule; a parent is
+        # never a generator, and a contraction cell has no signature
         for p in moved:
             node = terms[p]
             kind = node.kind

@@ -490,6 +490,16 @@ def test_audit_confirms_the_fixpoint(saturated):
     assert report.checked == 342788
 
 
+def test_merges_re_sign_parents_as_intake_signs_them(saturated):
+    # _merge re-signs moved parents inline; at the fixpoint every node's
+    # signature, as intake computes it, names a node of its class
+    find = saturated.find
+    for node in saturated.builder.terms[: saturated._ingested]:
+        sig = saturated._signature(node)
+        if sig is not None:
+            assert find(saturated._sig[sig]) == find(node.nid)
+
+
 def test_saturation_leaves_the_queue_empty(saturated):
     assert saturated.completed
     assert not saturated._pending
